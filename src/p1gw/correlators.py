@@ -54,7 +54,6 @@ same numbers at the same speed there.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import lcm
 from typing import NamedTuple
 
@@ -283,6 +282,27 @@ def _masked_sum(targets, mask):
     return s
 
 
+def _scaled_rows(polys):
+    """(L, rows) for a list of eps-polynomials with exponents >= 0.
+
+    L is the lcm of every coefficient denominator; rows[i] holds the integer
+    coefficients of L * polys[i], indexed by eps exponent.
+    """
+    scale = 1
+    for poly in polys:
+        for c in poly.terms.values():
+            scale = lcm(scale, int(c.denominator))
+    rows = []
+    for poly in polys:
+        if poly and poly.min_exp() < 0:
+            raise MalformedValue(f"{poly!r} is not a polynomial in eps")
+        row = [0] * (poly.max_exp() + 1 if poly else 0)
+        for k, c in poly.terms.items():
+            row[k] = int(c.numerator) * (scale // int(c.denominator))
+        rows.append(tuple(row))
+    return scale, rows
+
+
 @lru_cache(maxsize=64)
 def _scaled_table(depth: int):
     """(L, coefficient table, norm table) for entry_table(depth).
@@ -292,22 +312,8 @@ def _scaled_table(depth: int):
     indexed by eps exponent; the norm table holds their absolute sums.
     """
     mats = entry_table(depth)
-    scale = 1
-    for quad in mats.values():
-        for poly in quad:
-            for c in poly.terms.values():
-                scale = lcm(scale, int(c.denominator))
-    coeffs = {}
-    for e, quad in mats.items():
-        rows = []
-        for poly in quad:
-            if poly and poly.min_exp() < 0:
-                raise MalformedValue(f"resolvent entry at lam^{e} is not a polynomial in eps")
-            row = [0] * (poly.max_exp() + 1 if poly else 0)
-            for k, c in poly.terms.items():
-                row[k] = int(c.numerator) * (scale // int(c.denominator))
-            rows.append(tuple(row))
-        coeffs[e] = tuple(rows)
+    scale, rows = _scaled_rows([poly for quad in mats.values() for poly in quad])
+    coeffs = {e: tuple(rows[4 * i : 4 * i + 4]) for i, e in enumerate(mats)}
     norms = {e: tuple(sum(abs(c) for c in row) for row in quad) for e, quad in coeffs.items()}
     return scale, coeffs, norms
 
@@ -503,44 +509,3 @@ def correlator(
     if value is None:
         raise last_err
     return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, verified)
-
-
-def _n_point_product(ks, depth=None, jmax=None) -> EpsLaurent:
-    """Brute-force cross-check: explicit multivariate cycle products.
-
-    Builds the full trace product for every arrangement and multiplies the
-    edge expansion factors without any floor filtering, then reads the raw
-    coefficient. Exponentially sized; only sensible for small cases in tests.
-    """
-    ks = _validate_ks(ks)
-    n = len(ks)
-    if n < 3:
-        raise MalformedValue("product cross-check handles 3 or more insertions")
-    if depth is None:
-        depth = default_depth(ks)
-    if jmax is None:
-        jmax = sum(ks) + max(ks) + n + 4
-    targets = tuple(-k - 2 for k in ks)
-    t_total = sum(targets)
-    lifts = [_lifted_resolvent(depth, n, v) for v in range(n)]
-    edges = {}
-    total = EPS_ZERO
-    for perm in permutations(range(n - 1)):
-        order = perm + (n - 1,)
-        mat = lifts[order[0]]
-        for v in order[1:]:
-            mat = mat * lifts[v]
-        cur = mat.trace()
-        for c in range(n):
-            pair = (order[c], order[(c + 1) % n])
-            if pair not in edges:
-                edges[pair] = inv_diff_expand(n, pair, 1, jmax)
-            # every edge term has total exponent exactly -1, so after this
-            # step only keys at t_total + (edges still to come) can matter
-            band = t_total + (n - 1 - c)
-            cur = cur.mul(edges[pair], window=(band, band), keep_all=True)
-        total = total + cur.coeffs.get(targets, EPS_ZERO)
-    scale = 1
-    for k in ks:
-        scale *= factorial(k + 1)
-    return (-total).shift(-n) / scale

@@ -1,11 +1,17 @@
 """Commutator recursion on resolvents and the coefficient extraction."""
 
 import itertools
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p1gw.correlators import n_point, two_point
-from p1gw.errors import IndexOutOfRange, MalformedValue
+from brute_force import windowed_extract
+from p1gw import recursion
+from p1gw.correlators import _unpack, n_point, two_point
+from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue
 from p1gw.rational import Rat
 from p1gw.recursion import (
     PolygonTable,
@@ -18,6 +24,7 @@ from p1gw.recursion import (
     rm_equal,
 )
 from p1gw import reference
+from p1gw.series import Mat2
 
 
 def test_recursion_key_validation():
@@ -133,3 +140,130 @@ def test_polygon_table_depth_override_consistent():
     base = polygon_table(2, 3)
     deeper = polygon_table(2, 3, depth=base.depth_used + 6)
     assert base.rows == deeper.rows
+
+
+_GRID = [
+    (b, m, i, j)
+    for b in range(1, 4)
+    for m in range(4)
+    for i in range(1, 4)
+    for j in range(1, 4)
+]
+
+
+def test_direct_extraction_matches_windowed_product():
+    assert len(_GRID) == 108
+    for b, m, i, j in _GRID:
+        depth = default_extract_depth(b, m, i, j)
+        got = extract_bij(b, m, i, j, depth=depth)
+        assert got == windowed_extract(b, m, i, j, depth), (b, m, i, j)
+
+
+def test_direct_extraction_never_misreads_a_shallow_depth():
+    # every depth below the default either raises or gives the default value
+    raised = 0
+    for b in range(1, 4):
+        cases = {case[1:]: default_extract_depth(*case) for case in _GRID if case[0] == b}
+        want = {case: extract_bij(b, *case, depth=d) for case, d in cases.items()}
+        # depth-major order, so the levels at one depth serve every case
+        for depth in range(max(cases.values())):
+            for case, d in cases.items():
+                if depth >= d:
+                    continue
+                try:
+                    got = extract_bij(b, *case, depth=depth)
+                except DepthExceeded:
+                    raised += 1
+                    continue
+                assert got == want[case], (b, case, depth)
+    assert raised
+
+
+def _rational_run(spec, key, depth, cap):
+    # reference: the same recursion body over the rational base matrix
+    trim = None if cap is None else (lambda c: recursion._capped_eps(c, cap))
+    base = lambda: recursion._base_matrix(depth, cap)  # noqa: E731
+    return recursion._run(key, spec, base, Mat2.commutator, trim, {})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_integer_recursion_matches_rational_ring(b, m, capped, data):
+    depth = data.draw(st.integers(b, 24))
+    cap = (m + 2) * (b + 1) + 2 if capped else None  # polygon_table's cap for n_max = m + 2
+    weights = tuple(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    for spec, key, packed in (
+        (recursion._equal_spec(b), m, lambda: rm_equal(b, m, depth, cap)),
+        (recursion._subset_spec, weights, lambda: r_family(weights, depth, cap)),
+    ):
+        try:
+            want = _rational_run(spec, key, depth, cap)
+        except DepthExceeded:
+            with pytest.raises(DepthExceeded):
+                packed()
+            continue
+        assert packed() == want  # LambdaSeries equality compares depths too
+
+
+def test_table_levels_packing_width_is_proven():
+    b, n_max = 1, 12
+    depth, cap = (b + 2) * n_max + 4, n_max * (b + 1) + 2  # as polygon_table(1, 12)
+    fam = recursion._equal_levels(b, depth, cap)
+    fam.level(n_max - 2)
+    entries = lambda mat: (mat.a, mat.b, mat.c, mat.d)  # noqa: E731
+    bound = max(c for mat in fam.norms.values() for s in entries(mat) for c in s.coeffs.values())
+    assert bound and fam.width == bound.bit_length() + 2
+    checked = 0
+    for t in range(n_max - 1):
+        for packed, norms in zip(entries(fam.packed[t]), entries(fam.norms[t])):
+            for e, x in packed.coeffs.items():
+                coeffs = _unpack(x, fam.width)
+                # each l1 norm is within its key's norm entry, so every
+                # coefficient is within the bound the width comes from
+                assert coeffs and sum(abs(c) for c in coeffs) <= norms.coeffs[e] <= bound
+                checked += 1
+    assert checked > 900
+
+
+def test_wider_request_repacks_stored_levels():
+    depth = 20
+    fam = recursion._Levels(recursion._equal_spec(2), depth, None)
+    low = fam.rational(fam.level(1), 1)
+    narrow = fam.width
+    top = fam.rational(fam.level(4), 4)
+    assert fam.width > narrow
+    assert fam.rational(fam.packed[1], 1) == low
+    assert top == _rational_run(recursion._equal_spec(2), 4, depth, None)
+
+
+def test_concurrent_callers_get_exact_levels():
+    # threads asking for growing levels at one depth force repacks midway
+    depth = 16
+    want = {m: rm_equal(2, m, depth) for m in range(5)}
+    errors = []
+
+    def work(ms):
+        try:
+            for m in ms:
+                if rm_equal(2, m, depth) != want[m]:
+                    errors.append(m)
+        except Exception as err:  # recorded, so the main thread sees it
+            errors.append(err)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            recursion._EQUAL_MEMO.clear()
+            threads = [
+                threading.Thread(target=work, args=([0, 1, 2, 3, 4] if k % 2 else [4, 0, 3, 1, 2],))
+                for k in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
