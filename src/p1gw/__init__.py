@@ -1,12 +1,12 @@
 """Exact stationary Gromov-Witten invariants of the projective line.
 
 All computations run over exact rationals. The resolvent matrix is built
-from closed coefficient formulas; correlators come from windowed
-multivariate trace expansions of resolvent products; equal-insertion
-tables come from a commutator recursion on the resolvent family; and an
-independent oracle layer (closed product and binomial-sum formulas,
-generating-function identities, large-genus asymptotics) cross-checks
-everything it can reach.
+from closed coefficient formulas; correlators of two or more insertions
+come from one cycle-sum dynamic program over traces of resolvent
+products; equal-insertion tables come from a commutator recursion on the
+resolvent family; and an independent oracle layer (closed product and
+binomial-sum formulas, generating-function identities, large-genus
+asymptotics) cross-checks everything it can reach.
 """
 
 from .correlators import (
@@ -20,7 +20,6 @@ from .correlators import (
 )
 from .eps import EpsLaurent
 from .errors import (
-    CacheCorrupt,
     CancellationFailure,
     DepthExceeded,
     IdentityViolation,
@@ -51,12 +50,11 @@ from .recursion import (
     rm_equal,
 )
 from .resolvent import ResolventBundle, build_resolvent, resolvent_bundle
-from .series import LambdaSeries, Mat2, MultiSeries
+from .series import LambdaSeries, Mat2
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CacheCorrupt",
     "CancellationFailure",
     "CorrelatorRecord",
     "DepthExceeded",
@@ -66,7 +64,6 @@ __all__ = [
     "LambdaSeries",
     "MalformedValue",
     "Mat2",
-    "MultiSeries",
     "P1GWError",
     "PolygonTable",
     "Rat",

@@ -6,11 +6,9 @@ computation failure, 2 unstable extraction, 3 usage error.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
-from . import cache
 from .correlators import MAX_POINTS, correlator
 from .errors import (
     IndexOutOfRange,
@@ -45,16 +43,12 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     depth_override: object = None
     stability: bool = True
-    jobs: int = 1
-    cache_dir: object = None
     format: str = "json"
 
 
 def _add_common(sp):
     sp.add_argument("--depth", type=int, default=None, help="truncation depth override (>= 4)")
     sp.add_argument("--no-stability", action="store_true", help="skip the depth+4 recheck")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for cycle sums")
-    sp.add_argument("--cache-dir", default=None, help=f"resolvent cache directory (or ${cache.ENV_VAR})")
     sp.add_argument("--format", choices=FORMATS, default="json", help="output format")
 
 
@@ -62,11 +56,7 @@ def _config(args) -> RunConfig:
     depth = args.depth
     if depth is not None and depth < 4:
         raise CliUsageError(f"--depth must be >= 4, got {depth}")
-    jobs = args.jobs
-    if jobs < 1:
-        raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
-    cache_dir = args.cache_dir or os.environ.get(cache.ENV_VAR) or None
-    return RunConfig(depth, not args.no_stability, jobs, cache_dir, args.format)
+    return RunConfig(depth, not args.no_stability, args.format)
 
 
 def _emit(payload, headers, rows, cfg, trailer=None):
@@ -82,9 +72,7 @@ def cmd_correlator(args, cfg: RunConfig) -> int:
     ks = tuple(args.k)
     if not 1 <= len(ks) <= MAX_POINTS:
         raise CliUsageError(f"need 1 to {MAX_POINTS} insertions, got {len(ks)}")
-    rec = correlator(
-        ks, depth=cfg.depth_override, stability=cfg.stability, jobs=cfg.jobs
-    )
+    rec = correlator(ks, depth=cfg.depth_override, stability=cfg.stability)
     payload = {
         "insertions": list(rec.insertions),
         "eps_series": eps_series_obj(rec.value),
@@ -200,17 +188,14 @@ def cmd_asymptotics(args, cfg: RunConfig) -> int:
 
 def cmd_resolvent(args, cfg: RunConfig) -> int:
     depth = cfg.depth_override if cfg.depth_override is not None else 10
-    if cfg.cache_dir:
-        bundle, source = cache.cached_bundle(depth, cfg.cache_dir)
-    else:
-        bundle, source = resolvent_bundle(depth), "built"
+    bundle = resolvent_bundle(depth)
     entries = {}
     for e in range(0, -depth - 1, -1):
         entries[str(e)] = {
             name: eps_series_obj(getattr(bundle.r, name).coeff(e))
             for name in "abcd"
         }
-    payload = {"depth": depth, "source": source, "entries": entries}
+    payload = {"depth": depth, "source": "built", "entries": entries}
     rows = [
         (str(e),) + tuple(eps_poly_str(getattr(bundle.r, n).coeff(e)) for n in "abcd")
         for e in range(0, -depth - 1, -1)

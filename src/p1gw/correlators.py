@@ -1,19 +1,20 @@
 """Stationary correlator evaluation from the resolvent bundle.
 
-Three engines, by insertion count:
+Two engines, by insertion count:
 
   * one_point: closed evaluation through truncated powers of the core even
     series (degree d contributes coefficient extraction from the (2d-1)-th
     power, with d = 0 handled by the inverse series).
-  * two_point: literal bivariate route. Lift two resolvent copies, take the
-    trace of their product minus one, multiply by the expansion of
-    1/(lam1 - lam2)^2 inside a narrow total-degree window, extract.
-  * n_point (3..8 insertions): cycle sums. For every arrangement of the
-    variables around a cycle (last variable pinned, killing the cyclic
-    redundancy), the trace of the resolvent product divided by consecutive
-    differences contributes; the wanted multi-exponent coefficient is
-    assembled by a prefix dynamic program over arrangements that shares
-    partial matrix products between arrangements with the same frontier.
+  * two_point and n_point (2..8 insertions): cycle sums. For every
+    arrangement of the variables around a cycle (last variable pinned,
+    killing the cyclic redundancy), the trace of the resolvent product
+    divided by consecutive differences contributes; the wanted
+    multi-exponent coefficient is assembled by a prefix dynamic program over
+    arrangements that shares partial matrix products between arrangements
+    with the same frontier. At two insertions there is one arrangement, and
+    the sum also holds the disconnected term -1/(lam_0 - lam_1)^2 of the
+    identity; its slot-1 exponents are >= 0, so it never reaches a target
+    exponent (<= -2), and the cancellation probes subtract it in closed form.
 
 A value is a Laurent polynomial in eps; the exponent 2g-2 carries the genus
 g contribution, and the degree is pinned by sum(ks) = 2d + 2g - 2.
@@ -22,9 +23,12 @@ Depth accounting for the cycle DP: every finalized resolvent factor at
 exponent E <= 0 spends -E against a fixed budget sum(ks) + n, and each
 completed cycle spends the budget exactly. The remaining capacity is a
 function of the DP frontier alone, which both prunes the search and proves
-the default depth sum(ks) + 2n can never drop a contribution. The stability
-recomputation at a deeper truncation is therefore expected to always agree;
-it runs anyway because it is cheap insurance against bookkeeping bugs.
+the default depth sum(ks) + 2n can never drop a contribution. A shallower
+explicit depth that would drop a factor the capacity still allows, or clip
+the closing edge's range, raises DepthExceeded instead of returning a
+truncated sum. The stability recomputation at a deeper truncation is
+therefore expected to always agree; it runs anyway because it is cheap
+insurance against bookkeeping bugs.
 
 Exact integer kernel for the cycle DP. Every resolvent entry is a polynomial
 in eps (exponents >= 0) with rational coefficients, and every DP term is a
@@ -51,7 +55,6 @@ Both rational backends run the cycle DP on the same ints, so they give the
 same numbers at the same speed there.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -66,8 +69,7 @@ from .errors import (
     UnstableExtraction,
 )
 from .rational import Rat, factorial
-from .resolvent import entry_table, resolvent_bundle
-from .series import Mat2, MultiSeries, inv_diff_expand
+from .resolvent import entry_table
 
 MAX_POINTS = 8
 ESCALATE_STEP = 4
@@ -104,49 +106,6 @@ def one_point(k: int) -> EpsLaurent:
         if c:
             terms[2 * g - 2] = c
     return EpsLaurent(terms)
-
-
-def _lifted_resolvent(depth: int, nvars: int, var: int) -> Mat2:
-    bun = resolvent_bundle(depth)
-    return Mat2(
-        MultiSeries.from_lambda(bun.r.a, nvars, var),
-        MultiSeries.from_lambda(bun.r.b, nvars, var),
-        MultiSeries.from_lambda(bun.r.c, nvars, var),
-        MultiSeries.from_lambda(bun.r.d, nvars, var),
-    )
-
-
-def _two_point_at_depth(k1: int, k2: int, depth: int, check_cancellation: bool) -> EpsLaurent:
-    tr = (_lifted_resolvent(depth, 2, 0) * _lifted_resolvent(depth, 2, 1)).trace()
-    tr = tr - MultiSeries.unit(2)
-    inv = inv_diff_expand(2, (0, 1), 2, jmax=k1 + 1)
-    t_total = -(k1 + k2 + 4)
-    window = (t_total, t_total + max(k1, k2) + 4)
-    c2 = tr.mul(inv, window=window)
-    if check_cancellation:
-        # the full two-point series only carries exponents <= -2 per slot;
-        # anything shallower surviving inside the trusted band is a bug
-        for key, val in c2.coeffs.items():
-            if (key[0] > -2 or key[1] > -2) and val:
-                raise CancellationFailure(
-                    f"two-point product kept forbidden exponent pair {key}: {val!r}"
-                )
-    raw = c2.coeff((-k1 - 2, -k2 - 2))
-    return raw.shift(-2) / (factorial(k1 + 1) * factorial(k2 + 1))
-
-
-def two_point(k1: int, k2: int, depth=None, check_cancellation: bool = True) -> EpsLaurent:
-    k1, k2 = _validate_ks((k1, k2))
-    if depth is not None:
-        return _two_point_at_depth(k1, k2, depth, check_cancellation)
-    d = default_depth((k1, k2))
-    for attempt in range(ESCALATE_TRIES):
-        try:
-            return _two_point_at_depth(k1, k2, d, check_cancellation)
-        except DepthExceeded:
-            if attempt == ESCALATE_TRIES - 1:
-                raise
-            d += ESCALATE_STEP
 
 
 class _Ring(NamedTuple):
@@ -199,6 +158,7 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
     variables over every arrangement sharing the state, signs folded in.
     `mats` maps lam-exponent to an (a, b, c, d) tuple of ring elements; an
     unsigned ring drops every sign and so sums the terms' magnitudes.
+    Raises DepthExceeded when a factor below -depth could still contribute.
     """
     zero = ring.zero
     neg4 = _neg4 if ring.signed else _same
@@ -241,6 +201,9 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
                     else:
                         jhi = min(pend - t_cur - 1, jcap)
                         jlo = max(0, pend - t_cur - 1 - cap)
+                        if cap < capacity and 0 < jlo <= jhi + 1:
+                            # j = jlo - 1 needs the factor at exponent -depth - 1
+                            raise DepthExceeded(-depth - 1, depth, "cycle sum")
                         for j in range(jlo, jhi + 1):
                             e = t_cur - pend + j + 1
                             _add_into(newf, (mask | bit, nxt, w1, j), _mm(p_mat, mats[e]))
@@ -252,6 +215,9 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
                     else:
                         jlo = max(0, t_cur - pend)
                         jhi = min(t_cur - pend + cap, jcap)
+                        if cap < capacity and jlo - 1 <= jhi < jcap:
+                            # j = jhi + 1 needs the factor at exponent -depth - 1
+                            raise DepthExceeded(-depth - 1, depth, "cycle sum")
                         for j in range(jlo, jhi + 1):
                             e = t_cur - pend - j
                             _add_into(
@@ -261,9 +227,14 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
 
     total = zero
     for (mask, cur, w1, pend), p_mat in frontier.items():
-        # closing edge drops +jn on last and -jn-1 on first, sign -1
-        jn_lo = max(0, t_last - pend, w1 - t_first - 1 - depth)
-        jn_hi = min(t_last - pend + depth, w1 - t_first - 1)
+        # closing edge drops +jn on last and -jn-1 on first, sign -1; lo..hi
+        # keeps both factors at exponents <= 0, and depth must not trim it
+        lo = max(0, t_last - pend)
+        hi = w1 - t_first - 1
+        jn_lo = max(lo, hi - depth)
+        jn_hi = min(t_last - pend + depth, hi)
+        if lo <= hi and (jn_lo, jn_hi) != (lo, hi):
+            raise DepthExceeded(-depth - 1, depth, "cycle sum")
         for jn in range(jn_lo, jn_hi + 1):
             e_last = t_last - pend - jn
             e_first = t_first - w1 + jn + 1
@@ -343,14 +314,9 @@ def _unpack(x: int, width: int) -> list:
     return out
 
 
-def _seed_total(targets, depth, mats, ring, jobs):
+def _seed_total(targets, depth, mats, ring):
     seeds = range(len(targets) - 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda f: _cycle_seed_sum(targets, depth, mats, f, ring), seeds))
-    else:
-        parts = [_cycle_seed_sum(targets, depth, mats, f, ring) for f in seeds]
-    return sum(parts, ring.zero)
+    return sum((_cycle_seed_sum(targets, depth, mats, f, ring) for f in seeds), ring.zero)
 
 
 class _PackedSum(NamedTuple):
@@ -360,22 +326,34 @@ class _PackedSum(NamedTuple):
     denom: int  # L**n
 
 
-def _packed_cycle_sum(targets, depth: int, jobs: int = 1) -> _PackedSum:
+def _packed_cycle_sum(targets, depth: int) -> _PackedSum:
     scale, coeffs, norms = _scaled_table(depth)
     denom = scale ** len(targets)
-    bound = _seed_total(targets, depth, norms, _NORM, jobs)
+    bound = _seed_total(targets, depth, norms, _NORM)
     width = bound.bit_length() + 2
     if not bound:
         return _PackedSum(0, width, bound, denom)
     mats = {e: tuple(_pack(row, width) for row in quad) for e, quad in coeffs.items()}
-    packed = _seed_total(targets, depth, mats, _PACKED, jobs)
+    packed = _seed_total(targets, depth, mats, _PACKED)
     return _PackedSum(packed, width, bound, denom)
 
 
-def _cycle_sum(targets, depth: int, jobs: int = 1) -> EpsLaurent:
-    res = _packed_cycle_sum(targets, depth, jobs)
+def _cycle_sum(targets, depth: int) -> EpsLaurent:
+    res = _packed_cycle_sum(targets, depth)
     coeffs = _unpack(res.packed, res.width)
     return EpsLaurent({e: Rat(c, res.denom) for e, c in enumerate(coeffs) if c})
+
+
+def _disconnected(targets) -> EpsLaurent:
+    """The identity's term of the two-point cycle sum at `targets`.
+
+    It is -1/(lam_0 - lam_1)**2 = -sum_j (j + 1) lam_1**j lam_0**(-j-2),
+    so it only reaches slot 1 at exponents >= 0.
+    """
+    t0, t1 = targets
+    if t1 < 0 or t0 + t1 != -2:
+        return EPS_ZERO
+    return EpsLaurent.const(-(t1 + 1))
 
 
 def _probe_plan(n: int):
@@ -385,20 +363,22 @@ def _probe_plan(n: int):
     return [(0, 1), (n - 1, 1)]
 
 
-def _n_point_at_depth(ks, depth: int, check_cancellation: bool, jobs: int) -> EpsLaurent:
+def _n_point_at_depth(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
     n = len(ks)
     targets = tuple(-k - 2 for k in ks)
-    raw = _cycle_sum(targets, depth, jobs)
+    raw = _cycle_sum(targets, depth)
     if check_cancellation:
-        # slots only ever carry exponents <= -2 in the exact object; probing
-        # a handful of shallower exponents must give exactly zero
+        # slots only ever carry exponents <= -2 in the connected object;
+        # probing a handful of shallower exponents must give exactly zero
         for v, p in _probe_plan(n):
             probe = list(targets)
             probe[v] = -p
-            z = _cycle_sum(tuple(probe), depth, jobs)
+            z = _cycle_sum(tuple(probe), depth)
+            if n == 2:
+                z = z - _disconnected(probe)
             if z:
                 raise CancellationFailure(
-                    f"cycle sum kept forbidden exponent -{p} on slot {v}: {z!r}"
+                    f"cycle sum kept forbidden exponent {-p} on slot {v}: {z!r}"
                 )
     scale = 1
     for k in ks:
@@ -406,28 +386,39 @@ def _n_point_at_depth(ks, depth: int, check_cancellation: bool, jobs: int) -> Ep
     return (-raw).shift(-n) / scale
 
 
-def n_point(ks, depth=None, check_cancellation: bool = True, jobs: int = 1) -> EpsLaurent:
-    ks = _validate_ks(ks)
-    if len(ks) < 3:
-        raise MalformedValue("n_point handles 3 or more insertions")
+def _at_depth(evaluate, ks, depth, retry=(DepthExceeded,)):
+    """(evaluate(d), d) at the given depth, or escalating from the default."""
     if depth is not None:
-        return _n_point_at_depth(ks, depth, check_cancellation, jobs)
+        return evaluate(depth), depth
     d = default_depth(ks)
     for attempt in range(ESCALATE_TRIES):
         try:
-            return _n_point_at_depth(ks, d, check_cancellation, jobs)
-        except DepthExceeded:
+            return evaluate(d), d
+        except retry:
             if attempt == ESCALATE_TRIES - 1:
                 raise
             d += ESCALATE_STEP
 
 
-def _evaluate(ks, depth: int, check_cancellation: bool, jobs: int) -> EpsLaurent:
+def _cycle_value(ks, depth, check_cancellation: bool) -> EpsLaurent:
+    return _at_depth(lambda d: _n_point_at_depth(ks, d, check_cancellation), ks, depth)[0]
+
+
+def two_point(k1: int, k2: int, depth=None, check_cancellation: bool = True) -> EpsLaurent:
+    return _cycle_value(_validate_ks((k1, k2)), depth, check_cancellation)
+
+
+def n_point(ks, depth=None, check_cancellation: bool = True) -> EpsLaurent:
+    ks = _validate_ks(ks)
+    if len(ks) < 3:
+        raise MalformedValue("n_point handles 3 or more insertions")
+    return _cycle_value(ks, depth, check_cancellation)
+
+
+def _evaluate(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
     if len(ks) == 1:
         return one_point(ks[0])
-    if len(ks) == 2:
-        return _two_point_at_depth(ks[0], ks[1], depth, check_cancellation)
-    return _n_point_at_depth(ks, depth, check_cancellation, jobs)
+    return _n_point_at_depth(ks, depth, check_cancellation)
 
 
 def split_by_genus(value: EpsLaurent, ks):
@@ -454,11 +445,18 @@ def split_by_genus(value: EpsLaurent, ks):
     return tuple(rows)
 
 
-def stability_check(ks, lo_depth: int, hi_depth: int, jobs: int = 1) -> bool:
+def _too_shallow(ks, err: DepthExceeded) -> UnstableExtraction:
+    return UnstableExtraction(f"correlator {ks} needs a deeper truncation: {err}")
+
+
+def stability_check(ks, lo_depth: int, hi_depth: int) -> bool:
     """Recompute at two depths; any disagreement is an unstable extraction."""
     ks = _validate_ks(ks)
-    lo = _evaluate(ks, lo_depth, False, jobs)
-    hi = _evaluate(ks, hi_depth, False, jobs)
+    try:
+        lo = _evaluate(ks, lo_depth, False)
+        hi = _evaluate(ks, hi_depth, False)
+    except DepthExceeded as err:
+        raise _too_shallow(ks, err) from err
     if lo != hi:
         raise UnstableExtraction(
             f"correlator {ks} changed between depths {lo_depth} and {hi_depth}: "
@@ -481,31 +479,29 @@ def correlator(
     depth=None,
     stability: bool = True,
     check_cancellation: bool = True,
-    jobs: int = 1,
 ) -> CorrelatorRecord:
-    """Full evaluation pipeline with canonical ordering and depth escalation."""
+    """Full evaluation pipeline with canonical ordering and depth escalation.
+
+    At a fixed depth, a depth too shallow for the value raises
+    UnstableExtraction; without one, the depth escalates from the default.
+    """
     ks = tuple(sorted(_validate_ks(ks), reverse=True))
-    d = depth if depth is not None else default_depth(ks)
-    tries = 1 if depth is not None else ESCALATE_TRIES
-    last_err = None
-    value = None
-    verified = False
-    for _ in range(tries):
+
+    def evaluate(d):
         try:
-            value = _evaluate(ks, d, check_cancellation, jobs)
+            value = _evaluate(ks, d, check_cancellation)
             if stability and len(ks) >= 2:
-                deeper = _evaluate(ks, d + ESCALATE_STEP, False, jobs)
+                deeper = _evaluate(ks, d + ESCALATE_STEP, False)
                 if deeper != value:
                     raise UnstableExtraction(
                         f"correlator {ks} changed between depths {d} and "
                         f"{d + ESCALATE_STEP}"
                     )
-            verified = stability
-            break
-        except (DepthExceeded, UnstableExtraction) as err:
-            last_err = err
-            value = None
-            d += ESCALATE_STEP
-    if value is None:
-        raise last_err
-    return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, verified)
+        except DepthExceeded as err:
+            if depth is None:
+                raise
+            raise _too_shallow(ks, err) from err
+        return value
+
+    value, d = _at_depth(evaluate, ks, depth, (DepthExceeded, UnstableExtraction))
+    return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, stability)

@@ -37,9 +37,5 @@ class IdentityViolation(P1GWError):
     """An internal consistency identity failed to hold exactly."""
 
 
-class CacheCorrupt(P1GWError):
-    """A cache file failed validation against built-in reference data."""
-
-
 class IndexOutOfRange(P1GWError):
     """An insertion index outside the supported range was requested."""

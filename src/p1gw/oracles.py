@@ -310,8 +310,7 @@ class AsymptoticReport:
 def asymptotic_report(k: int, d: int, g_max: int) -> AsymptoticReport:
     """Exact ratios g by g, with display decimals at 12 significant digits.
 
-    g_max is capped at 40: beyond the closed families the values come
-    from the bivariate trace engine, whose cost grows quickly with genus.
+    g_max is capped at 40, the input range this report supports.
     """
     if not 0 <= g_max <= 40:
         raise MalformedValue(f"need 0 <= g_max <= 40, got {g_max}")

@@ -10,21 +10,11 @@ import re
 
 try:
     from gmpy2 import mpq as Rat  # type: ignore
-
-    _HAVE_GMPY = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat  # type: ignore
 
-    _HAVE_GMPY = False
-
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def rat(p, q=1):
-    """Exact rational p/q."""
-    return Rat(p, q)
-
 
 _RAT_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -49,12 +39,6 @@ def rat_from_str(s: str):
 def rat_str(x) -> str:
     """Canonical string form: "p/q" in lowest terms, or "p" if integral."""
     return str(x)
-
-
-def is_integer(x) -> bool:
-    if _HAVE_GMPY:
-        return x.denominator == 1
-    return x.denominator == 1
 
 
 def factorial(n: int) -> int:

@@ -156,8 +156,8 @@ def _el(terms) -> EpsLaurent:
     return EpsLaurent({e: Rat(p, q) for e, (p, q) in terms.items()})
 
 
-# First five lam-coefficient matrices of R, frozen as ground truth for tests
-# and cache validation. Layout per exponent: ((a, b), (c, d)).
+# First five lam-coefficient matrices of R, frozen as ground truth for the
+# tests and the acceptance gate. Layout per exponent: ((a, b), (c, d)).
 PRINTED_HEAD = {
     0: ((_el({0: (1, 1)}), EPS_ZERO), (EPS_ZERO, EPS_ZERO)),
     -1: ((EPS_ZERO, _el({0: (-1, 1)})), (_el({0: (1, 1)}), EPS_ZERO)),

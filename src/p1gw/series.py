@@ -1,14 +1,10 @@
-"""Truncated Laurent series in one or several spectral variables.
+"""Truncated Laurent series in one spectral variable, and 2x2 matrices.
 
 LambdaSeries is a Laurent series in a single variable lam, stored as a sparse
 dict from integer exponent to EpsLaurent coefficient, together with a depth:
 coefficients at exponents >= -depth are exact, anything lower is unknown and
 asking for it raises DepthExceeded. depth may be INF for exactly-known
 objects such as polynomials.
-
-MultiSeries generalizes this to up to 8 variables with one validity floor per
-variable, plus an optional total-degree window used to keep products small
-when only a narrow band of total exponents is ever extracted.
 
 All products propagate validity conservatively: when A is only known down to
 exponent -N_A, terms of B at positive exponents can pull unknown territory
@@ -19,9 +15,9 @@ of A up into view, so the product is only trusted down to
 where degplus is the largest positive stored exponent (or 0).
 """
 
-from .errors import DepthExceeded, MalformedValue
-from .eps import EpsLaurent, EPS_ZERO, EPS_ONE
-from .rational import Rat, binomial
+from .errors import DepthExceeded
+from .eps import EpsLaurent, EPS_ZERO
+from .rational import Rat
 
 INF = float("inf")
 
@@ -226,268 +222,3 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-
-MAX_VARS = 8
-
-
-class MultiSeries:
-    """Sparse Laurent data in up to MAX_VARS spectral variables.
-
-    coeffs: dict mapping exponent tuples to EpsLaurent.
-    depths: per-variable validity floor (coefficient at key k is trusted
-        only when k[v] >= -depths[v] for every v).
-    window: optional (lo, hi) band of total exponent sum(k); outside it
-        coefficients were deliberately dropped and are unknown.
-    """
-
-    __slots__ = ("nvars", "coeffs", "depths", "window")
-
-    def __init__(self, nvars, coeffs=None, depths=None, window=None):
-        if not 1 <= nvars <= MAX_VARS:
-            raise MalformedValue(f"nvars must be in 1..{MAX_VARS}, got {nvars}")
-        if depths is None:
-            depths = (INF,) * nvars
-        depths = tuple(depths)
-        if len(depths) != nvars:
-            raise MalformedValue("depths length mismatch")
-        d = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                key = tuple(int(e) for e in key)
-                if len(key) != nvars:
-                    raise MalformedValue("exponent key length mismatch")
-                if not c:
-                    continue
-                if any(key[v] < -depths[v] for v in range(nvars)):
-                    continue
-                if window is not None:
-                    t = sum(key)
-                    if t < window[0] or t > window[1]:
-                        continue
-                d[key] = c
-        self.nvars = nvars
-        self.coeffs = d
-        self.depths = depths
-        self.window = window
-
-    @classmethod
-    def _raw(cls, nvars, d, depths, window):
-        self = object.__new__(cls)
-        self.nvars = nvars
-        self.coeffs = d
-        self.depths = depths
-        self.window = window
-        return self
-
-    @classmethod
-    def unit(cls, nvars):
-        return cls._raw(nvars, {(0,) * nvars: EPS_ONE}, (INF,) * nvars, None)
-
-    @classmethod
-    def from_lambda(cls, ls: LambdaSeries, nvars: int, var: int) -> "MultiSeries":
-        """Lift a single-variable series into variable slot `var`."""
-        if not 0 <= var < nvars:
-            raise MalformedValue(f"variable slot {var} outside 0..{nvars - 1}")
-        d = {}
-        for e, c in ls.coeffs.items():
-            key = [0] * nvars
-            key[var] = e
-            d[tuple(key)] = c
-        depths = tuple(ls.depth if v == var else INF for v in range(nvars))
-        return cls._raw(nvars, d, depths, None)
-
-    def coeff(self, key) -> EpsLaurent:
-        key = tuple(key)
-        for v in range(self.nvars):
-            if key[v] < -self.depths[v]:
-                raise DepthExceeded(key[v], self.depths[v], f"variable {v}")
-        if self.window is not None:
-            t = sum(key)
-            if t < self.window[0] or t > self.window[1]:
-                raise DepthExceeded(
-                    t, -self.window[0], f"total window {self.window}"
-                )
-        return self.coeffs.get(key, EPS_ZERO)
-
-    def deg_plus(self, v: int) -> int:
-        m = 0
-        for key in self.coeffs:
-            if key[v] > m:
-                m = key[v]
-        return m
-
-    def min_total(self):
-        return min((sum(k) for k in self.coeffs), default=INF)
-
-    def max_total(self):
-        return max((sum(k) for k in self.coeffs), default=-INF)
-
-    def _merge_window(self, other, requested):
-        lo, hi = -INF, INF
-        if self.window is not None:
-            lo = max(lo, self.window[0] + other.max_total())
-            hi = min(hi, self.window[1] + other.min_total())
-        if other.window is not None:
-            lo = max(lo, other.window[0] + self.max_total())
-            hi = min(hi, other.window[1] + self.min_total())
-        if requested is not None:
-            lo = max(lo, requested[0])
-            hi = min(hi, requested[1])
-        if lo == -INF and hi == INF:
-            return None
-        return (lo, hi)
-
-    def mul(self, other: "MultiSeries", window=None, keep_all=False) -> "MultiSeries":
-        """Product. keep_all skips the validity-floor filtering of result keys
-        (a requested window still applies); callers using it must justify
-        exactness themselves, the floor metadata is still propagated."""
-        if not isinstance(other, MultiSeries) or other.nvars != self.nvars:
-            raise MalformedValue("operand mismatch in multiseries product")
-        n = self.nvars
-        depths = tuple(
-            min(self.depths[v] - other.deg_plus(v), other.depths[v] - self.deg_plus(v))
-            for v in range(n)
-        )
-        win = self._merge_window(other, window)
-        d = {}
-        floors = tuple(-depths[v] for v in range(n))
-        lo, hi = (win if win is not None else (-INF, INF))
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                key = tuple(k1[v] + k2[v] for v in range(n))
-                t = sum(key)
-                if t < lo or t > hi:
-                    continue
-                if not keep_all and any(key[v] < floors[v] for v in range(n)):
-                    continue
-                p = c1 * c2
-                if not p:
-                    continue
-                s = d.get(key)
-                if s is None:
-                    d[key] = p
-                else:
-                    s = s + p
-                    if not s:
-                        del d[key]
-                    else:
-                        d[key] = s
-        return MultiSeries._raw(n, d, depths, win)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiSeries):
-            return self.mul(other)
-        if isinstance(other, (EpsLaurent, int, Rat)):
-            if not other:
-                return MultiSeries._raw(self.nvars, {}, self.depths, self.window)
-            d = {}
-            for key, c in self.coeffs.items():
-                p = c * other
-                if p:
-                    d[key] = p
-            return MultiSeries._raw(self.nvars, d, self.depths, self.window)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _combine(self, other, negate):
-        n = self.nvars
-        depths = tuple(min(self.depths[v], other.depths[v]) for v in range(n))
-        if self.window is None:
-            win = other.window
-        elif other.window is None:
-            win = self.window
-        else:
-            win = (
-                max(self.window[0], other.window[0]),
-                min(self.window[1], other.window[1]),
-            )
-        floors = tuple(-depths[v] for v in range(n))
-        lo, hi = (win if win is not None else (-INF, INF))
-
-        def keep(key):
-            t = 0
-            for v in range(n):
-                if key[v] < floors[v]:
-                    return False
-                t += key[v]
-            return lo <= t <= hi
-
-        d = {k: c for k, c in self.coeffs.items() if keep(k)}
-        for key, c in other.coeffs.items():
-            if not keep(key):
-                continue
-            if negate:
-                c = -c
-            s = d.get(key)
-            if s is None:
-                d[key] = c
-            else:
-                s = s + c
-                if not s:
-                    del d[key]
-                else:
-                    d[key] = s
-        return MultiSeries._raw(n, d, depths, win)
-
-    def __add__(self, other):
-        if not isinstance(other, MultiSeries) or other.nvars != self.nvars:
-            return NotImplemented
-        return self._combine(other, False)
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiSeries) or other.nvars != self.nvars:
-            return NotImplemented
-        return self._combine(other, True)
-
-    def __neg__(self):
-        return MultiSeries._raw(
-            self.nvars,
-            {k: -c for k, c in self.coeffs.items()},
-            self.depths,
-            self.window,
-        )
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        return (
-            f"MultiSeries(nvars={self.nvars}, {len(self.coeffs)} keys, "
-            f"depths={self.depths}, window={self.window})"
-        )
-
-
-def inv_diff_expand(nvars: int, pair, power: int, jmax: int) -> MultiSeries:
-    """Expansion of 1/(lam_x - lam_y)**power keeping jmax+1 leading terms.
-
-    The variable with the smaller slot index is treated as the large one,
-    so for x < y:
-
-        sum_{j=0..jmax} C(j+power-1, power-1) lam_y^j lam_x^(-j-power)
-
-    and for x > y the same with roles swapped and an overall (-1)**power.
-    The large variable's floor is jmax+power (deeper terms were dropped);
-    the small variable's exponents are complete, floor INF: its high powers
-    beyond jmax only pair with dropped deep terms of the large variable, and
-    the product floor rule screens those out.
-    """
-    x, y = pair
-    if x == y:
-        raise MalformedValue("inv_diff_expand needs two distinct variables")
-    if power < 1 or jmax < 0:
-        raise MalformedValue("inv_diff_expand needs power >= 1 and jmax >= 0")
-    sign = 1
-    if x > y:
-        x, y = y, x
-        sign = (-1) ** power
-    d = {}
-    for j in range(jmax + 1):
-        c = Rat(sign * binomial(j + power - 1, power - 1))
-        key = [0] * nvars
-        key[x] = -j - power
-        key[y] = j
-        d[tuple(key)] = EpsLaurent._raw({0: c})
-    depths = tuple(jmax + power if v == x else INF for v in range(nvars))
-    return MultiSeries._raw(nvars, d, depths, None)

@@ -192,7 +192,7 @@ _KS = st.lists(st.integers(0, 5), min_size=2, max_size=4).filter(
 
 @lru_cache(maxsize=None)
 def _eval_at(ks, depth):
-    return _evaluate(ks, depth, False, 1)
+    return _evaluate(ks, depth, False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -201,7 +201,7 @@ def test_c10a_property_permutation_symmetry(perm):
     perm = tuple(perm)
     d = default_depth(perm)
     canon = tuple(sorted(perm, reverse=True))
-    assert _evaluate(perm, d, False, 1) == _eval_at(canon, d)
+    assert _evaluate(perm, d, False) == _eval_at(canon, d)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -224,7 +224,7 @@ def test_c10d_property_positive_powers_cancel(ks):
     ks = tuple(sorted(ks, reverse=True))
     # probe mode raises CancellationFailure if anything survives above
     # the window floor; a normal return is the assertion
-    value = _evaluate(ks, default_depth(ks), True, 1)
+    value = _evaluate(ks, default_depth(ks), True)
     assert value.coeff(sum(ks) + 1) == 0
 
 

@@ -1,12 +1,13 @@
-"""Correlator engines: one-point series, trace products, cycle sums."""
+"""Correlator engines: one-point series and cycle sums."""
 
+import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import n_point_product
+from brute_force import n_point_product, two_point_product
 from p1gw import correlators
 from p1gw.correlators import (
     correlator,
@@ -20,6 +21,7 @@ from p1gw.correlators import (
 from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from p1gw.errors import (
     CancellationFailure,
+    DepthExceeded,
     IndexOutOfRange,
     MalformedValue,
     UnstableExtraction,
@@ -53,6 +55,40 @@ def test_two_point_flagship_row():
     assert dict(two_point(6, 6).terms) == want
 
 
+_PAIRS = [(k1, k2) for k1 in range(7) for k2 in range(7)] + [(0, 9), (9, 0), (8, 3), (3, 8)]
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+def test_two_point_matches_bivariate_product(extra):
+    for k1, k2 in _PAIRS:
+        depth = default_depth((k1, k2)) + extra
+        assert two_point(k1, k2, depth=depth) == two_point_product(k1, k2, depth), (k1, k2)
+
+
+_SWEEP_KS = (
+    [ks for ks in itertools.product(range(7), repeat=2)]
+    + [ks for ks in itertools.product(range(5), repeat=3)]
+    + [ks for ks in itertools.product(range(3), repeat=4)]
+)
+
+
+def test_shallow_depths_raise_or_return_the_default_value():
+    # a depth below the default either raises or returns the exact value,
+    # never a truncated sum
+    raised = 0
+    for ks in _SWEEP_KS:
+        evaluate = two_point if len(ks) == 2 else (lambda *ks, depth: n_point(ks, depth=depth))
+        want = evaluate(*ks, depth=default_depth(ks))
+        for depth in range(default_depth(ks)):
+            try:
+                got = evaluate(*ks, depth=depth)
+            except DepthExceeded:
+                raised += 1
+                continue
+            assert got == want, (ks, depth)
+    assert raised
+
+
 def test_n_point_flagship_six_ones():
     want = reference.flagship_series()[0][1]
     assert dict(n_point((1,) * 6).terms) == want
@@ -66,11 +102,6 @@ def test_cycle_sum_agrees_with_product_expansion(ks):
 def test_n_point_odd_total_vanishes():
     assert n_point((1, 1, 1)) == EPS_ZERO
     assert n_point((2, 2, 1)) == EPS_ZERO
-
-
-def test_jobs_do_not_change_values():
-    ks = (2, 2, 1, 1)
-    assert n_point(ks, jobs=1) == n_point(ks, jobs=3)
 
 
 def test_validation_errors():
@@ -115,40 +146,72 @@ def test_stability_check_passes_and_fails():
     assert stability_check((2, 2, 2), 12, 16)
     with pytest.raises(UnstableExtraction):
         stability_check((2, 2, 2), 4, 16)
+    with pytest.raises(UnstableExtraction):
+        stability_check((6, 6), 4, 16)
 
 
 def test_unstable_explicit_depth_in_correlator():
     with pytest.raises(UnstableExtraction):
         correlator((2, 2, 2), depth=4)
+    # below the default depth a fixed depth is unstable or exact, with or
+    # without the deeper recheck
+    for ks in [(2, 2, 2), (4, 4, 4), (3, 1), (6, 6), (2, 1, 1, 0)]:
+        want = correlator(ks).value
+        for depth in range(default_depth(ks)):
+            for stability in (True, False):
+                try:
+                    got = correlator(ks, depth=depth, stability=stability).value
+                except UnstableExtraction:
+                    continue
+                assert got == want, (ks, depth, stability)
 
 
 def test_two_point_cancellation_probe_fires_on_corruption():
-    orig = correlators._lifted_resolvent
+    # a unit spike at lam^-1 in the (1,1) entry, as in a corrupted resolvent
+    orig = correlators.entry_table
 
-    def bad(depth, nvars, var):
-        m = orig(depth, nvars, var)
-        from p1gw.series import Mat2, MultiSeries, LambdaSeries
-        from p1gw.eps import EPS_ONE
+    def bad(depth):
+        table = dict(orig(depth))
+        a, b, c, d = table[-1]
+        table[-1] = (a + EPS_ONE, b, c, d)
+        return table
 
-        spike = MultiSeries.from_lambda(LambdaSeries({-1: EPS_ONE}, depth), nvars, var)
-        return Mat2(m.a + spike, m.b, m.c, m.d)
-
-    with mock.patch.object(correlators, "_lifted_resolvent", bad):
-        with pytest.raises(CancellationFailure):
-            two_point(0, 0, depth=8)
+    correlators._scaled_table.cache_clear()
+    try:
+        with mock.patch.object(correlators, "entry_table", bad):
+            for ks in [(0, 0), (2, 2), (4, 0), (0, 4)]:
+                with pytest.raises(CancellationFailure):
+                    two_point(*ks, depth=8)
+    finally:
+        correlators._scaled_table.cache_clear()
 
 
 def test_n_point_probe_fires_when_shallow_sum_survives():
     orig = correlators._cycle_sum
 
-    def bad(targets, depth, jobs=1):
+    def bad(targets, depth):
         if any(t > -2 for t in targets):
             return EpsLaurent.const(1)
-        return orig(targets, depth, jobs)
+        return orig(targets, depth)
 
     with mock.patch.object(correlators, "_cycle_sum", bad):
         with pytest.raises(CancellationFailure):
             n_point((0, 0, 0), depth=8)
+
+
+def test_two_point_probe_reads_exactly_the_disconnected_term():
+    nonzero = 0
+    for k0 in range(7):
+        for k1 in range(4):
+            depth = default_depth((k0, k1))
+            for v, p in correlators._probe_plan(2):
+                probe = [-k0 - 2, -k1 - 2]
+                probe[v] = -p
+                z = correlators._disconnected(probe)
+                assert correlators._cycle_sum(tuple(probe), depth) == z
+                nonzero += bool(z)
+    # only slot 1 at exponent 0 against slot 0 at index 0 meets the term
+    assert nonzero == 4
 
 
 def test_default_depth_covers_all_contributions():
@@ -162,11 +225,7 @@ _LAURENT = correlators._Ring(EPS_ZERO, EPS_ONE, True)
 
 def _laurent_cycle_sum(targets, depth):
     # reference: the same DP body over the exact rational entry table
-    mats = entry_table(depth)
-    total = EPS_ZERO
-    for f in range(len(targets) - 1):
-        total = total + correlators._cycle_seed_sum(targets, depth, mats, f, _LAURENT)
-    return total
+    return correlators._seed_total(targets, depth, entry_table(depth), _LAURENT)
 
 
 def _cycle_case(ks, draw):

@@ -8,19 +8,17 @@ from p1gw.rational import (
     binomial,
     decimal_str,
     factorial,
-    is_integer,
-    rat,
     rat_from_str,
     rat_str,
 )
 
 
 def test_rat_normalizes():
-    assert rat(2, 4) == rat(1, 2)
-    assert rat_str(rat(-6, 4)) == "-3/2"
-    assert rat_str(rat(8, 4)) == "2"
-    assert is_integer(rat(8, 4))
-    assert not is_integer(rat(1, 3))
+    assert Rat(2, 4) == Rat(1, 2)
+    assert rat_str(Rat(-6, 4)) == "-3/2"
+    assert rat_str(Rat(8, 4)) == "2"
+    assert Rat(8, 4).denominator == 1
+    assert Rat(1, 3).denominator == 3
 
 
 def test_rat_from_str_round_trip():

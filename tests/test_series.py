@@ -2,16 +2,11 @@
 
 import pytest
 
+from brute_force import MultiSeries, inv_diff_expand
 from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from p1gw.errors import DepthExceeded
 from p1gw.rational import Rat
-from p1gw.series import (
-    INF,
-    LambdaSeries,
-    Mat2,
-    MultiSeries,
-    inv_diff_expand,
-)
+from p1gw.series import INF, LambdaSeries, Mat2
 
 
 def _ls(d, depth=INF):
