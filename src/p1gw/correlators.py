@@ -22,45 +22,31 @@ g contribution, and the degree is pinned by sum(ks) = 2d + 2g - 2.
 Depth accounting for the cycle DP: every finalized resolvent factor at
 exponent E <= 0 spends -E against a fixed budget sum(ks) + n, and each
 completed cycle spends the budget exactly. The remaining capacity is a
-function of the DP frontier alone, which both prunes the search and proves
-the default depth sum(ks) + 2n can never drop a contribution. A shallower
-explicit depth that would drop a factor the capacity still allows, or clip
-the closing edge's range, raises DepthExceeded instead of returning a
-truncated sum. The stability recomputation at a deeper truncation is
-therefore expected to always agree; it runs anyway because it is cheap
-insurance against bookkeeping bugs.
+function of the DP frontier alone, which prunes the search. One depth rule
+covers truncation: a depth below the budget raises DepthExceeded. At or
+above it no factor can fall below -depth, because every spend is >= 0, so
+each factor spends at most the whole budget; the loops then run on the
+capacity alone and never read past the entry table. The default depth
+sum(ks) + 2n is above the budget. The stability recomputation at a deeper
+truncation is therefore expected to always agree; it runs anyway because it
+is cheap insurance against bookkeeping bugs.
 
-Exact integer kernel for the cycle DP. Every resolvent entry is a polynomial
-in eps (exponents >= 0) with rational coefficients, and every DP term is a
+Exact integer kernel: the cycle DP runs on the packed form of eps-polynomials
+(see p1gw.eps for the scale/pack/unpack/width proof). Every DP term is a
 product of exactly n entries (n - 2 interior factors plus the two closing
-ones; the identity seed is integral). So:
-
-  * Scale: multiply the entry table by L, the lcm of its denominators; the
-    DP over the scaled table is L**n times the wanted sum and integral.
-  * Pack: store each integer eps-polynomial as the single int
-    sum_e c_e * 2**(B*e) (Kronecker substitution, eps = 2**B). Evaluation at
-    2**B is a ring map Z[eps] -> Z, so the DP runs on plain ints with the
-    same body and the packed total is the true polynomial evaluated there.
-  * Unpack: read the coefficients back B bits at a time with signed
-    borrow, then divide by L**n.
-  * Width: unpacking is exact when every output coefficient has absolute
-    value below 2**(B-1). The same DP run on the l1 norms of the scaled
-    entries (the absolute values at eps = 1), with every sign dropped, sums
-    the norms of all terms, and the norm of a product is at most the
-    product of the norms. Its total therefore bounds every output
-    coefficient, and B = bound.bit_length() + 2 is safe. A zero bound
-    proves the sum is zero without the packed pass.
-
-Both rational backends run the cycle DP on the same ints, so they give the
-same numbers at the same speed there.
+ones; the identity seed is integral), so the packed total is L**n times the
+cycle sum. The norm-bound body is the same DP over the l1 norms of the
+scaled entries in an unsigned ring, which drops every sign. A zero bound
+proves the sum is zero without the packed pass. Both rational backends run
+the cycle DP on the same ints, so they give the same numbers at the same
+speed there.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import NamedTuple
 
-from .eps import EpsLaurent, EPS_ZERO, s_power
+from .eps import EpsLaurent, EPS_ZERO, from_packed, pack, pack_width, s_power, scaled_rows
 from .errors import (
     CancellationFailure,
     DepthExceeded,
@@ -68,7 +54,7 @@ from .errors import (
     MalformedValue,
     UnstableExtraction,
 )
-from .rational import Rat, factorial
+from .rational import factorial
 from .resolvent import entry_table
 
 MAX_POINTS = 8
@@ -158,7 +144,7 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
     variables over every arrangement sharing the state, signs folded in.
     `mats` maps lam-exponent to an (a, b, c, d) tuple of ring elements; an
     unsigned ring drops every sign and so sums the terms' magnitudes.
-    Raises DepthExceeded when a factor below -depth could still contribute.
+    Raises DepthExceeded when depth is below the spend budget.
     """
     zero = ring.zero
     neg4 = _neg4 if ring.signed else _same
@@ -170,6 +156,8 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
     budget = -(sum_all + n)
     if budget < 0:
         return zero
+    if depth < budget:
+        raise DepthExceeded(-budget, depth, "cycle sum")
     kmax = max(0, max(-t - 2 for t in targets))
     jcap = budget + kmax + 2
 
@@ -185,10 +173,9 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
             t_cur = targets[cur]
             if not first_step:
                 # remaining spend capacity; finalizing cur at exponent E
-                # consumes -E, so E >= -cap with cap = min(depth, capacity)
+                # consumes -E, so E >= -cap
                 fut = sum_all - _masked_sum(targets, mask) + t_first + t_cur
-                capacity = -fut + pend + w1 - (n - step + 1)
-                cap = capacity if capacity < depth else depth
+                cap = -fut + pend + w1 - (n - step + 1)
                 if cap < 0:
                     continue
             for nxt in cands:
@@ -201,9 +188,6 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
                     else:
                         jhi = min(pend - t_cur - 1, jcap)
                         jlo = max(0, pend - t_cur - 1 - cap)
-                        if cap < capacity and 0 < jlo <= jhi + 1:
-                            # j = jlo - 1 needs the factor at exponent -depth - 1
-                            raise DepthExceeded(-depth - 1, depth, "cycle sum")
                         for j in range(jlo, jhi + 1):
                             e = t_cur - pend + j + 1
                             _add_into(newf, (mask | bit, nxt, w1, j), _mm(p_mat, mats[e]))
@@ -215,9 +199,6 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
                     else:
                         jlo = max(0, t_cur - pend)
                         jhi = min(t_cur - pend + cap, jcap)
-                        if cap < capacity and jlo - 1 <= jhi < jcap:
-                            # j = jhi + 1 needs the factor at exponent -depth - 1
-                            raise DepthExceeded(-depth - 1, depth, "cycle sum")
                         for j in range(jlo, jhi + 1):
                             e = t_cur - pend - j
                             _add_into(
@@ -227,15 +208,9 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
 
     total = zero
     for (mask, cur, w1, pend), p_mat in frontier.items():
-        # closing edge drops +jn on last and -jn-1 on first, sign -1; lo..hi
-        # keeps both factors at exponents <= 0, and depth must not trim it
-        lo = max(0, t_last - pend)
-        hi = w1 - t_first - 1
-        jn_lo = max(lo, hi - depth)
-        jn_hi = min(t_last - pend + depth, hi)
-        if lo <= hi and (jn_lo, jn_hi) != (lo, hi):
-            raise DepthExceeded(-depth - 1, depth, "cycle sum")
-        for jn in range(jn_lo, jn_hi + 1):
+        # closing edge drops +jn on last and -jn-1 on first, sign -1; the
+        # range keeps both factors at exponents <= 0
+        for jn in range(max(0, t_last - pend), w1 - t_first):
             e_last = t_last - pend - jn
             e_first = t_first - w1 + jn + 1
             total = total + _trace_prod3(mats[e_first], p_mat, mats[e_last])
@@ -253,27 +228,6 @@ def _masked_sum(targets, mask):
     return s
 
 
-def _scaled_rows(polys):
-    """(L, rows) for a list of eps-polynomials with exponents >= 0.
-
-    L is the lcm of every coefficient denominator; rows[i] holds the integer
-    coefficients of L * polys[i], indexed by eps exponent.
-    """
-    scale = 1
-    for poly in polys:
-        for c in poly.terms.values():
-            scale = lcm(scale, int(c.denominator))
-    rows = []
-    for poly in polys:
-        if poly and poly.min_exp() < 0:
-            raise MalformedValue(f"{poly!r} is not a polynomial in eps")
-        row = [0] * (poly.max_exp() + 1 if poly else 0)
-        for k, c in poly.terms.items():
-            row[k] = int(c.numerator) * (scale // int(c.denominator))
-        rows.append(tuple(row))
-    return scale, rows
-
-
 @lru_cache(maxsize=64)
 def _scaled_table(depth: int):
     """(L, coefficient table, norm table) for entry_table(depth).
@@ -283,35 +237,10 @@ def _scaled_table(depth: int):
     indexed by eps exponent; the norm table holds their absolute sums.
     """
     mats = entry_table(depth)
-    scale, rows = _scaled_rows([poly for quad in mats.values() for poly in quad])
+    scale, rows = scaled_rows([poly for quad in mats.values() for poly in quad])
     coeffs = {e: tuple(rows[4 * i : 4 * i + 4]) for i, e in enumerate(mats)}
     norms = {e: tuple(sum(abs(c) for c in row) for row in quad) for e, quad in coeffs.items()}
     return scale, coeffs, norms
-
-
-def _pack(coeffs, width: int) -> int:
-    """sum_e coeffs[e] * 2**(width*e): the polynomial evaluated at 2**width."""
-    x = 0
-    for c in reversed(coeffs):
-        x = (x << width) + c
-    return x
-
-
-def _unpack(x: int, width: int) -> list:
-    """Signed coefficients of a packed polynomial, lowest first, up to the last nonzero.
-
-    Exact when every coefficient has absolute value below 2**(width-1).
-    """
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out = []
-    while x:
-        c = x & mask
-        if c >= half:
-            c -= 1 << width
-        out.append(c)
-        x = (x - c) >> width
-    return out
 
 
 def _seed_total(targets, depth, mats, ring):
@@ -330,18 +259,17 @@ def _packed_cycle_sum(targets, depth: int) -> _PackedSum:
     scale, coeffs, norms = _scaled_table(depth)
     denom = scale ** len(targets)
     bound = _seed_total(targets, depth, norms, _NORM)
-    width = bound.bit_length() + 2
+    width = pack_width(bound)
     if not bound:
         return _PackedSum(0, width, bound, denom)
-    mats = {e: tuple(_pack(row, width) for row in quad) for e, quad in coeffs.items()}
+    mats = {e: tuple(pack(row, width) for row in quad) for e, quad in coeffs.items()}
     packed = _seed_total(targets, depth, mats, _PACKED)
     return _PackedSum(packed, width, bound, denom)
 
 
 def _cycle_sum(targets, depth: int) -> EpsLaurent:
     res = _packed_cycle_sum(targets, depth)
-    coeffs = _unpack(res.packed, res.width)
-    return EpsLaurent({e: Rat(c, res.denom) for e, c in enumerate(coeffs) if c})
+    return from_packed(res.packed, res.width, res.denom)
 
 
 def _disconnected(targets) -> EpsLaurent:
@@ -386,22 +314,23 @@ def _n_point_at_depth(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
     return (-raw).shift(-n) / scale
 
 
-def _at_depth(evaluate, ks, depth, retry=(DepthExceeded,)):
-    """(evaluate(d), d) at the given depth, or escalating from the default."""
+def escalate(evaluate, depth, start, retry=(DepthExceeded,)):
+    """(evaluate(d), d) at the given depth, or, when depth is None, escalating from start."""
     if depth is not None:
         return evaluate(depth), depth
-    d = default_depth(ks)
     for attempt in range(ESCALATE_TRIES):
         try:
-            return evaluate(d), d
+            return evaluate(start), start
         except retry:
             if attempt == ESCALATE_TRIES - 1:
                 raise
-            d += ESCALATE_STEP
+            start += ESCALATE_STEP
 
 
 def _cycle_value(ks, depth, check_cancellation: bool) -> EpsLaurent:
-    return _at_depth(lambda d: _n_point_at_depth(ks, d, check_cancellation), ks, depth)[0]
+    return escalate(
+        lambda d: _n_point_at_depth(ks, d, check_cancellation), depth, default_depth(ks)
+    )[0]
 
 
 def two_point(k1: int, k2: int, depth=None, check_cancellation: bool = True) -> EpsLaurent:
@@ -484,8 +413,12 @@ def correlator(
 
     At a fixed depth, a depth too shallow for the value raises
     UnstableExtraction; without one, the depth escalates from the default.
+    An odd index sum admits no degree, so its value is zero at any depth.
     """
     ks = tuple(sorted(_validate_ks(ks), reverse=True))
+    if sum(ks) % 2:
+        d = default_depth(ks) if depth is None else depth
+        return CorrelatorRecord(ks, EPS_ZERO, split_by_genus(EPS_ZERO, ks), d, stability)
 
     def evaluate(d):
         try:
@@ -503,5 +436,5 @@ def correlator(
             raise _too_shallow(ks, err) from err
         return value
 
-    value, d = _at_depth(evaluate, ks, depth, (DepthExceeded, UnstableExtraction))
+    value, d = escalate(evaluate, depth, default_depth(ks), (DepthExceeded, UnstableExtraction))
     return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, stability)

@@ -10,8 +10,36 @@ Also provides s_power, truncated powers of the even power series
 
 including negative powers, which the one-point evaluator needs for its
 degree-zero layer.
+
+Packed form. The cycle DP and the commutator recursion both run on exact
+integers: each sums products of a fixed number F of eps-polynomials drawn
+from one table of polynomials with exponents >= 0 (F is stated by each
+engine), so the table is scaled once and every polynomial becomes one int.
+
+  * Scale: scaled_rows multiplies the table by L, the lcm of its
+    denominators (over the terms kept under an optional eps cap); a sum of
+    products of F scaled entries is L**F times the true sum and integral.
+  * Pack: pack stores an integer eps-polynomial as the single int
+    sum_e c_e * 2**(B*e) (Kronecker substitution, eps = 2**B; Harvey,
+    arXiv:0712.4046). Evaluation at 2**B is a ring map Z[eps] -> Z, so the
+    engines run their unchanged bodies on plain ints, and a packed result
+    is the true integer polynomial evaluated at 2**B. Dropping exponents
+    above a cap (packed_trim) keeps the low (cap + 1) * B bits, read as
+    signed.
+  * Unpack: unpack reads the coefficients back B bits at a time with signed
+    borrow; from_packed then divides by the scale to give the EpsLaurent.
+  * Width: unpacking, trimming and repack are exact when every coefficient
+    has absolute value below 2**(B-1). Each engine runs its own body once
+    more over the l1 norms of the scaled entries (their absolute values at
+    eps = 1) with every sign dropped. That pass sums the norms of all
+    terms, the norm of a product is at most the product of the norms, and
+    an eps cap only lowers a norm, so its result bounds every output
+    coefficient, and pack_width(bound) = bound.bit_length() + 2 is safe.
 """
 
+from math import lcm
+
+from .errors import MalformedValue
 from .rational import Rat, ZERO, ONE, factorial
 
 
@@ -210,3 +238,86 @@ def s_power(p: int, order: int) -> EpsLaurent:
         if p:
             sq = _conv_trunc(sq, sq, m_top)
     return EpsLaurent({2 * m: c for m, c in enumerate(result)})
+
+
+def scaled_rows(polys, cap=None):
+    """(L, rows) for a list of eps-polynomials with exponents >= 0.
+
+    Exponents above cap (when given) are dropped first. L is the lcm of the
+    kept coefficients' denominators; rows[i] holds the integer coefficients
+    of L * polys[i], indexed by eps exponent, and is empty when nothing of
+    polys[i] is kept.
+    """
+    kept = [{e: c for e, c in p.terms.items() if cap is None or e <= cap} for p in polys]
+    scale = 1
+    for terms in kept:
+        for c in terms.values():
+            scale = lcm(scale, int(c.denominator))
+    rows = []
+    for poly, terms in zip(polys, kept):
+        if terms and min(terms) < 0:
+            raise MalformedValue(f"{poly!r} is not a polynomial in eps")
+        row = [0] * (max(terms) + 1 if terms else 0)
+        for k, c in terms.items():
+            row[k] = int(c.numerator) * (scale // int(c.denominator))
+        rows.append(tuple(row))
+    return scale, rows
+
+
+def pack_width(bound: int) -> int:
+    """Packing width B that keeps coefficients of absolute value <= bound exact."""
+    return bound.bit_length() + 2
+
+
+def pack(coeffs, width: int) -> int:
+    """sum_e coeffs[e] * 2**(width*e): the polynomial evaluated at 2**width."""
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << width) + c
+    return x
+
+
+def unpack(x: int, width: int) -> list:
+    """Signed coefficients of a packed polynomial, lowest first, up to the last nonzero.
+
+    Exact when every coefficient has absolute value below 2**(width-1).
+    """
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << width
+        out.append(c)
+        x = (x - c) >> width
+    return out
+
+
+def repack(x: int, old: int, new: int) -> int:
+    """A polynomial packed at width old, packed at width new instead."""
+    return x if old == new else pack(unpack(x, old), new)
+
+
+def packed_trim(width: int, cap: int):
+    """Function dropping eps exponents above cap from a packed polynomial.
+
+    The low (cap + 1) * width bits, read as a signed number, are exactly the
+    kept part when its coefficients lie below 2**(width-1) in absolute value,
+    whatever the size of the dropped ones.
+    """
+    bits = width * (cap + 1)
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+
+    def trim(x):
+        x &= mask
+        return x - (1 << bits) if x >= half else x
+
+    return trim
+
+
+def from_packed(x: int, width: int, denom, shift: int = 0) -> EpsLaurent:
+    """eps**shift / denom times the polynomial packed in x at width."""
+    coeffs = unpack(x, width)
+    return EpsLaurent._raw({e + shift: Rat(c, denom) for e, c in enumerate(coeffs) if c})

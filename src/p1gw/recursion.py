@@ -41,34 +41,25 @@ divides by a fixed eps power, so dropping eps exponents above a cap chosen
 from the target's genus range is exact. polygon_table exploits that; plain
 r_family / rm_equal calls keep full coefficients.
 
-Exact integer kernel. Both recursions and the extraction run on plain ints,
-the same way as the cycle DP in correlators:
+Exact integer kernel. Both recursions and the extraction run on the packed
+form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
+proof). The base is the resolvent at the given depth, eps-capped as it is
+scaled by L. Every term of the level of a key with k weights is a product
+of k + 1 base entries (the shift and the plus part never touch eps), so the
+packed level is L**(k+1) times the true one, and the extraction sum at
+level m has m + 2 factors. The recursion body is the Mat2/LambdaSeries
+arithmetic itself over int coefficients, validity depths included, so every
+packed level has the keys and depths of the rational one (a level's
+coefficient is zero exactly when its packed int is), and the public
+rm_equal / r_family unpack to the same Mat2.
 
-  * Scale: the base matrix (the resolvent at the given depth, eps-capped)
-    is multiplied by L, the lcm of its denominators. Every term of the
-    level of a key with k weights is a product of k + 1 base entries (the
-    shift and the plus part never touch eps), so the level over the scaled
-    base is exactly L**(k+1) times the true one, and the extraction sum at
-    level m, with m + 2 factors, is L**(m+2) times the true sum.
-  * Pack: each integer eps-polynomial is the single int sum_e c_e 2**(B*e)
-    (Kronecker substitution, eps = 2**B), a ring map Z[eps] -> Z; the eps
-    cap becomes keeping the low (cap + 1) * B bits, read as signed. The
-    recursion body is the Mat2/LambdaSeries arithmetic itself over int
-    coefficients, validity depths included, so every packed level has the
-    keys and depths of the rational one (a level's coefficient is zero
-    exactly when its packed int is), and the public rm_equal / r_family
-    unpack to the same Mat2.
-  * Width: unpacking is exact when every coefficient lies below 2**(B-1)
-    in absolute value. The same body run over the l1 norms of the scaled
-    entries, at depth INF so that no validity floor drops a key, and with
-    the anticommutator in place of the commutator so that every sign is
-    dropped, bounds the l1 norm of each signed entry at each key: the norm
-    of a product is at most the product of the norms, and capping only
-    lowers a norm. So B = bound.bit_length() + 2 over the largest norm
-    entry is safe, and all levels of one recursion share it; a later,
-    larger level whose bound needs more bits repacks the stored ones. The
-    extraction bounds its own sum the same way and reads the level
-    coefficients at that width if it is wider.
+Norm-bound body: the same body over the l1 norms of the scaled entries, at
+depth INF so that no validity floor drops a key, and with the
+anticommutator in place of the commutator so that every sign is dropped.
+All levels of one recursion share the width from its largest entry; a
+later, larger level whose bound needs more bits repacks the stored ones.
+The extraction bounds its own sum the same way and reads the level
+coefficients at that width if it is wider.
 
 The same body also runs over the rational EpsLaurent base, which the tests
 use as the reference. Both rational backends run the recursion on the same
@@ -79,8 +70,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .correlators import _pack, _same, _scaled_rows, _unpack, n_point, one_point, two_point
-from .eps import EpsLaurent
+from .correlators import ESCALATE_STEP, MAX_POINTS, escalate, n_point, one_point, two_point
+from .eps import EpsLaurent, from_packed, pack, pack_width, packed_trim, repack, scaled_rows
 from .errors import (
     DepthExceeded,
     IndexOutOfRange,
@@ -92,8 +83,6 @@ from .resolvent import resolvent_bundle
 from .series import INF, LambdaSeries, Mat2
 
 MAX_KEY = 6
-ESCALATE_STEP = 4
-ESCALATE_TRIES = 3
 MEMO_FAMILIES = 8
 
 
@@ -128,13 +117,6 @@ def _as_weights(key):
     return key.b_values
 
 
-def _capped_eps(c: EpsLaurent, cap: int) -> EpsLaurent:
-    top = c.max_exp()
-    if top is None or top <= cap:
-        return c
-    return EpsLaurent._raw({e: v for e, v in c.terms.items() if e <= cap})
-
-
 def _trimmed(mat: Mat2, trim) -> Mat2:
     """Apply trim to every coefficient, dropping the ones it zeroes."""
     return mat.map_entries(
@@ -144,13 +126,6 @@ def _trimmed(mat: Mat2, trim) -> Mat2:
 
 def _mapped(mat: Mat2, fn) -> Mat2:
     return mat.map_entries(lambda s: LambdaSeries._raw({e: fn(c) for e, c in s.coeffs.items()}, s.depth))
-
-
-def _base_matrix(depth: int, cap) -> Mat2:
-    r = resolvent_bundle(depth).r
-    if cap is None:
-        return r
-    return _trimmed(r, lambda c: _capped_eps(c, cap))
 
 
 def _shift_plus(mat: Mat2, b: int) -> Mat2:
@@ -218,24 +193,6 @@ def _subset_spec(bs):
     return bs[0], terms
 
 
-def _packed_trim(width, cap):
-    """Drop eps exponents above cap from a packed polynomial.
-
-    The low (cap + 1) * width bits, read as a signed number, are exactly the
-    kept part when its coefficients lie below 2**(width-1) in absolute value,
-    whatever the size of the dropped ones.
-    """
-    bits = width * (cap + 1)
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-
-    def trim(x):
-        x &= mask
-        return x - (1 << bits) if x >= half else x
-
-    return trim
-
-
 class _Levels:
     """Levels of one recursion at one (depth, cap), as exact packed integers.
 
@@ -249,12 +206,15 @@ class _Levels:
     def __init__(self, spec, depth, cap):
         self.spec = spec
         self.cap = cap
-        mat = _base_matrix(depth, cap)
-        entries = (mat.a, mat.b, mat.c, mat.d)
-        self.scale, rows = _scaled_rows([c for s in entries for c in s.coeffs.values()])
+        r = resolvent_bundle(depth).r
+        entries = (r.a, r.b, r.c, r.d)
+        self.scale, rows = scaled_rows([c for s in entries for c in s.coeffs.values()], cap)
         rows = iter(rows)
-        # the base over integer coefficient rows, L times the true one
-        self.rows = Mat2(*(LambdaSeries._raw({e: next(rows) for e in s.coeffs}, s.depth) for s in entries))
+        # the eps-capped base over integer coefficient rows, L times the true
+        # one; a coefficient the cap empties is dropped
+        self.rows = Mat2(
+            *(LambdaSeries._raw({e: row for e in s.coeffs if (row := next(rows))}, s.depth) for s in entries)
+        )
         self.norms = {}
         self.packed = {}
         self.width = 0
@@ -271,27 +231,21 @@ class _Levels:
     def level(self, key) -> Mat2:
         """Packed matrix of key; repacks the stored ones if the width grows."""
         self.norm(key)
-        width = max(map(_largest, self.norms.values())).bit_length() + 2
+        width = pack_width(max(map(_largest, self.norms.values())))
         if width > self.width:
             old = self.width
             self.packed = {
-                k: _mapped(mat, lambda x: _pack(_unpack(x, old), width))
-                for k, mat in self.packed.items()
+                k: _mapped(mat, lambda x: repack(x, old, width)) for k, mat in self.packed.items()
             }
             self.width = width
-        trim = None if self.cap is None else _packed_trim(width, self.cap)
-        base = lambda: _mapped(self.rows, lambda row: _pack(row, width))  # noqa: E731
+        trim = None if self.cap is None else packed_trim(width, self.cap)
+        base = lambda: _mapped(self.rows, lambda row: pack(row, width))  # noqa: E731
         return _run(key, self.spec, base, Mat2.commutator, trim, self.packed)
 
     def rational(self, mat: Mat2, k: int) -> Mat2:
         """The true matrix of a key with k weights, from its packed one."""
         denom = self.scale ** (k + 1)
-
-        def poly(x):
-            coeffs = _unpack(x, self.width)
-            return EpsLaurent._raw({p: Rat(c, denom) for p, c in enumerate(coeffs) if c})
-
-        return _mapped(mat, poly)
+        return _mapped(mat, lambda x: from_packed(x, self.width, denom))
 
 
 class _LRU(OrderedDict):
@@ -358,7 +312,7 @@ def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
     return (b + 2) * (m + 2) + max(i, j) + 4
 
 
-def _pair_sum(levels, m, hi, lo, read=_same):
+def _pair_sum(levels, m, hi, lo, read=lambda x: x):
     """sum_t C(m, t) sum_j (j + 1) tr(R_t[j - hi] R_{m-t}[-lo - 2 - j]).
 
     levels[t] is R_t; j runs over every exponent the left factor stores at
@@ -397,15 +351,12 @@ def _extract_at_depth(b, m, i, j, depth, cap) -> EpsLaurent:
         # the sum has one more factor than level m: read its coefficients at
         # a width that its own norm bound proves
         bound = _pair_sum([fam.norms[t] for t in ts], m, hi, lo)
-        width = max(fam.width, bound.bit_length() + 2)
-
-        def read(x):
-            return x if width == fam.width else _pack(_unpack(x, fam.width), width)
-
-        raw = _pair_sum([fam.packed[t] for t in ts], m, hi, lo, read)
+        width = max(fam.width, pack_width(bound))
+        raw = _pair_sum(
+            [fam.packed[t] for t in ts], m, hi, lo, lambda x: repack(x, fam.width, width)
+        )
     denom = fam.scale ** (m + 2) * factorial(i + 1) * factorial(j + 1) * factorial(b + 1) ** m
-    coeffs = _unpack(raw, width)
-    return EpsLaurent._raw({p - (m + 2): Rat(c, denom) for p, c in enumerate(coeffs) if c})
+    return from_packed(raw, width, denom, -(m + 2))
 
 
 def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> EpsLaurent:
@@ -420,16 +371,9 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
         raise IndexOutOfRange(f"recursion route needs weight >= 1, got {b}")
     if m < 0:
         raise MalformedValue(f"level must be >= 0, got {m}")
-    if depth is not None:
-        return _extract_at_depth(b, m, i, j, depth, eps_cap)
-    d = default_extract_depth(b, m, i, j)
-    for attempt in range(ESCALATE_TRIES):
-        try:
-            return _extract_at_depth(b, m, i, j, d, eps_cap)
-        except DepthExceeded:
-            if attempt == ESCALATE_TRIES - 1:
-                raise
-            d += ESCALATE_STEP
+    return escalate(
+        lambda d: _extract_at_depth(b, m, i, j, d, eps_cap), depth, default_extract_depth(b, m, i, j)
+    )[0]
 
 
 def degree_for(b: int, n: int, g: int) -> int:
@@ -490,6 +434,9 @@ def polygon_table(b: int, n_max: int, g_max=None, depth=None, stability: bool = 
         raise IndexOutOfRange(f"weight must be >= 0, got {b}")
     if n_max < 1:
         raise MalformedValue(f"need at least one row, got n_max={n_max}")
+    if b == 0 and n_max > MAX_POINTS:
+        # weight-0 rows run the cycle DP, which takes at most MAX_POINTS insertions
+        raise MalformedValue(f"weight-0 tables have at most {MAX_POINTS} rows, got n_max={n_max}")
     if g_max is None:
         g_max = max(b * n_max // 2, 0)
     if g_max < 0:

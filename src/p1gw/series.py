@@ -42,10 +42,6 @@ class LambdaSeries:
         return self
 
     @classmethod
-    def zero(cls, depth=INF):
-        return cls._raw({}, depth)
-
-    @classmethod
     def from_eps(cls, c, depth=INF):
         if not c:
             return cls._raw({}, depth)
@@ -76,19 +72,6 @@ class LambdaSeries:
         if self.depth < 0:
             raise DepthExceeded(0, self.depth, "plus part")
         return LambdaSeries._raw({e: c for e, c in self.coeffs.items() if e >= 0}, INF)
-
-    def minus_part(self) -> "LambdaSeries":
-        return LambdaSeries._raw(
-            {e: c for e, c in self.coeffs.items() if e < 0}, self.depth
-        )
-
-    def truncated(self, depth) -> "LambdaSeries":
-        """Restrict to exponents >= -depth; depth must not exceed stored depth."""
-        if depth > self.depth:
-            raise DepthExceeded(-depth, self.depth, "truncation")
-        return LambdaSeries._raw(
-            {e: c for e, c in self.coeffs.items() if e >= -depth}, depth
-        )
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -42,6 +42,13 @@ def test_cli_correlator_zero_value(capsys):
     payload = json.loads(out)
     assert payload["eps_series"] == {}
     assert payload["by_genus"] == []
+    # an odd index sum is zero at any depth, however shallow
+    for argv, depth in ((["1"] * 7 + ["--depth", "5"], 5), (["2", "1", "--depth", "4"], 4)):
+        code, out, _ = _run(capsys, ["correlator", *argv])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["eps_series"], payload["by_genus"]) == ({}, [])
+        assert (payload["depth"], payload["stable"]) == (depth, True)
 
 
 def test_cli_correlator_unstable_depth_exits_two(capsys):

@@ -18,7 +18,7 @@ from p1gw.correlators import (
     stability_check,
     two_point,
 )
-from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
+from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent, pack, repack, unpack
 from p1gw.errors import (
     CancellationFailure,
     DepthExceeded,
@@ -73,20 +73,17 @@ _SWEEP_KS = (
 
 
 def test_shallow_depths_raise_or_return_the_default_value():
-    # a depth below the default either raises or returns the exact value,
-    # never a truncated sum
-    raised = 0
+    # a depth below the spend budget sum(ks) + n raises; every depth from
+    # there up returns the exact value, never a truncated sum
     for ks in _SWEEP_KS:
         evaluate = two_point if len(ks) == 2 else (lambda *ks, depth: n_point(ks, depth=depth))
         want = evaluate(*ks, depth=default_depth(ks))
         for depth in range(default_depth(ks)):
-            try:
-                got = evaluate(*ks, depth=depth)
-            except DepthExceeded:
-                raised += 1
-                continue
-            assert got == want, (ks, depth)
-    assert raised
+            if depth < sum(ks) + len(ks):
+                with pytest.raises(DepthExceeded):
+                    evaluate(*ks, depth=depth)
+            else:
+                assert evaluate(*ks, depth=depth) == want, (ks, depth)
 
 
 def test_n_point_flagship_six_ones():
@@ -102,6 +99,14 @@ def test_cycle_sum_agrees_with_product_expansion(ks):
 def test_n_point_odd_total_vanishes():
     assert n_point((1, 1, 1)) == EPS_ZERO
     assert n_point((2, 2, 1)) == EPS_ZERO
+    # correlator returns an odd sum's zero without running the cycle DP,
+    # with the depth and stability flag it would have reported
+    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+        rec = correlator((1,) * 7)
+        assert (rec.value, rec.by_genus) == (EPS_ZERO, ())
+        assert (rec.depth_used, rec.stability_verified) == (default_depth((1,) * 7), True)
+        rec = correlator((2, 1), depth=4, stability=False)
+        assert (rec.value, rec.depth_used, rec.stability_verified) == (EPS_ZERO, 4, False)
 
 
 def test_validation_errors():
@@ -251,9 +256,9 @@ def test_packed_cycle_sum_matches_rational_dp(ks, data):
 
 
 def test_pack_round_trip():
-    pack, unpack = correlators._pack, correlators._unpack
     coeffs = [3, -5, 0, 7, -1, -128]
     assert unpack(pack(coeffs, 9), 9) == coeffs
+    assert repack(pack(coeffs, 9), 9, 14) == pack(coeffs, 14)
     top = 2**9 - 1
     for edge in ([top], [-top], [top, -top, 0, top], [-top, top, -top]):
         assert unpack(pack(edge, 10), 10) == edge
@@ -271,9 +276,9 @@ def test_flagship_packing_width_is_proven():
         depth = default_depth(ks)
         res = correlators._packed_cycle_sum(targets, depth)
         assert res.width == res.bound.bit_length() + 2
-        coeffs = correlators._unpack(res.packed, res.width)
+        coeffs = unpack(res.packed, res.width)
         assert coeffs and all(abs(c) <= res.bound for c in coeffs), ks
-        assert correlators._pack(coeffs, res.width) == res.packed
+        assert pack(coeffs, res.width) == res.packed
         assert correlators._cycle_sum(targets, depth) == _laurent_cycle_sum(targets, depth), ks
         checked += 1
     assert checked == 4

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from brute_force import windowed_extract
 from p1gw import recursion
-from p1gw.correlators import _unpack, n_point, two_point
+from p1gw.correlators import MAX_POINTS, n_point, two_point
+from p1gw.eps import EpsLaurent, unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue
 from p1gw.rational import Rat
 from p1gw.recursion import (
@@ -24,6 +26,7 @@ from p1gw.recursion import (
     rm_equal,
 )
 from p1gw import reference
+from p1gw.resolvent import resolvent_bundle
 from p1gw.series import Mat2
 
 
@@ -133,6 +136,10 @@ def test_polygon_table_bounds_and_validation():
         polygon_table(-1, 3)
     with pytest.raises(MalformedValue):
         polygon_table(1, 0)
+    # weight-0 rows beyond the cycle DP's insertion limit are refused up front
+    with mock.patch.object(recursion, "n_point", side_effect=AssertionError):
+        with pytest.raises(MalformedValue, match=f"at most {MAX_POINTS} rows"):
+            polygon_table(0, MAX_POINTS + 1)
     assert isinstance(tab, PolygonTable)
 
 
@@ -180,10 +187,13 @@ def test_direct_extraction_never_misreads_a_shallow_depth():
 
 
 def _rational_run(spec, key, depth, cap):
-    # reference: the same recursion body over the rational base matrix
-    trim = None if cap is None else (lambda c: recursion._capped_eps(c, cap))
-    base = lambda: recursion._base_matrix(depth, cap)  # noqa: E731
-    return recursion._run(key, spec, base, Mat2.commutator, trim, {})
+    # reference: the same recursion body over the rational base matrix, with
+    # the eps cap applied to the base and to every level
+    base, trim = resolvent_bundle(depth).r, None
+    if cap is not None:
+        trim = lambda c: EpsLaurent({e: v for e, v in c.terms.items() if e <= cap})  # noqa: E731
+        base = recursion._trimmed(base, trim)
+    return recursion._run(key, spec, lambda: base, Mat2.commutator, trim, {})
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -217,7 +227,7 @@ def test_table_levels_packing_width_is_proven():
     for t in range(n_max - 1):
         for packed, norms in zip(entries(fam.packed[t]), entries(fam.norms[t])):
             for e, x in packed.coeffs.items():
-                coeffs = _unpack(x, fam.width)
+                coeffs = unpack(x, fam.width)
                 # each l1 norm is within its key's norm entry, so every
                 # coefficient is within the bound the width comes from
                 assert coeffs and sum(abs(c) for c in coeffs) <= norms.coeffs[e] <= bound

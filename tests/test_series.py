@@ -62,17 +62,8 @@ def test_shift_plus_minus_parts():
     plus = s.plus_part()
     assert plus.depth == INF
     assert set(plus.coeffs) == {0, 2}
-    minus = s.minus_part()
-    assert set(minus.coeffs) == {-1}
     with pytest.raises(DepthExceeded):
         s.lam_shift(5).plus_part()  # depth went negative, split is unknown
-
-
-def test_truncated_guard():
-    s = _ls({0: 1}, depth=3)
-    assert s.truncated(2).depth == 2
-    with pytest.raises(DepthExceeded):
-        s.truncated(7)
 
 
 def _m(a, b, c, d, depth=10):
