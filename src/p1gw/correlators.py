@@ -27,9 +27,10 @@ covers truncation: a depth below the budget raises DepthExceeded. At or
 above it no factor can fall below -depth, because every spend is >= 0, so
 each factor spends at most the whole budget; the loops then run on the
 capacity alone and never read past the entry table. The default depth
-sum(ks) + 2n is above the budget. The stability recomputation at a deeper
-truncation is therefore expected to always agree; it runs anyway because it
-is cheap insurance against bookkeeping bugs.
+sum(ks) + 2n is above the budget, so every call runs once, at its given or
+default depth, and never retries deeper. The stability recomputation
+STABILITY_STEP deeper is therefore expected to always agree; it runs anyway
+because it is cheap insurance against bookkeeping bugs.
 
 Exact integer kernel: the cycle DP runs on the packed form of eps-polynomials
 (see p1gw.eps for the scale/pack/unpack/width proof). Every DP term is a
@@ -58,8 +59,7 @@ from .rational import factorial
 from .resolvent import entry_table
 
 MAX_POINTS = 8
-ESCALATE_STEP = 4
-ESCALATE_TRIES = 3
+STABILITY_STEP = 4
 
 
 def _validate_ks(ks):
@@ -291,7 +291,10 @@ def _probe_plan(n: int):
     return [(0, 1), (n - 1, 1)]
 
 
-def _n_point_at_depth(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
+def _cycle_value(ks, depth, check_cancellation: bool) -> EpsLaurent:
+    """The cycle-sum value of ks at depth, or at the default depth if None."""
+    if depth is None:
+        depth = default_depth(ks)
     n = len(ks)
     targets = tuple(-k - 2 for k in ks)
     raw = _cycle_sum(targets, depth)
@@ -314,25 +317,6 @@ def _n_point_at_depth(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
     return (-raw).shift(-n) / scale
 
 
-def escalate(evaluate, depth, start, retry=(DepthExceeded,)):
-    """(evaluate(d), d) at the given depth, or, when depth is None, escalating from start."""
-    if depth is not None:
-        return evaluate(depth), depth
-    for attempt in range(ESCALATE_TRIES):
-        try:
-            return evaluate(start), start
-        except retry:
-            if attempt == ESCALATE_TRIES - 1:
-                raise
-            start += ESCALATE_STEP
-
-
-def _cycle_value(ks, depth, check_cancellation: bool) -> EpsLaurent:
-    return escalate(
-        lambda d: _n_point_at_depth(ks, d, check_cancellation), depth, default_depth(ks)
-    )[0]
-
-
 def two_point(k1: int, k2: int, depth=None, check_cancellation: bool = True) -> EpsLaurent:
     return _cycle_value(_validate_ks((k1, k2)), depth, check_cancellation)
 
@@ -347,7 +331,7 @@ def n_point(ks, depth=None, check_cancellation: bool = True) -> EpsLaurent:
 def _evaluate(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
     if len(ks) == 1:
         return one_point(ks[0])
-    return _n_point_at_depth(ks, depth, check_cancellation)
+    return _cycle_value(ks, depth, check_cancellation)
 
 
 def split_by_genus(value: EpsLaurent, ks):
@@ -409,32 +393,24 @@ def correlator(
     stability: bool = True,
     check_cancellation: bool = True,
 ) -> CorrelatorRecord:
-    """Full evaluation pipeline with canonical ordering and depth escalation.
+    """Full evaluation pipeline with canonical ordering and a stability recheck.
 
-    At a fixed depth, a depth too shallow for the value raises
-    UnstableExtraction; without one, the depth escalates from the default.
+    Runs once, at the given depth or else the default one. A depth below
+    the spend budget raises UnstableExtraction; the default never does.
     An odd index sum admits no degree, so its value is zero at any depth.
     """
     ks = tuple(sorted(_validate_ks(ks), reverse=True))
+    d = default_depth(ks) if depth is None else depth
     if sum(ks) % 2:
-        d = default_depth(ks) if depth is None else depth
         return CorrelatorRecord(ks, EPS_ZERO, split_by_genus(EPS_ZERO, ks), d, stability)
-
-    def evaluate(d):
-        try:
-            value = _evaluate(ks, d, check_cancellation)
-            if stability and len(ks) >= 2:
-                deeper = _evaluate(ks, d + ESCALATE_STEP, False)
-                if deeper != value:
-                    raise UnstableExtraction(
-                        f"correlator {ks} changed between depths {d} and "
-                        f"{d + ESCALATE_STEP}"
-                    )
-        except DepthExceeded as err:
-            if depth is None:
-                raise
-            raise _too_shallow(ks, err) from err
-        return value
-
-    value, d = escalate(evaluate, depth, default_depth(ks), (DepthExceeded, UnstableExtraction))
+    try:
+        value = _evaluate(ks, d, check_cancellation)
+        if stability and len(ks) >= 2:
+            deeper = _evaluate(ks, d + STABILITY_STEP, False)
+            if deeper != value:
+                raise UnstableExtraction(
+                    f"correlator {ks} changed between depths {d} and {d + STABILITY_STEP}"
+                )
+    except DepthExceeded as err:
+        raise _too_shallow(ks, err) from err
     return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, stability)

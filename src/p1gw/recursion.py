@@ -32,9 +32,35 @@ two targets:
 
     sum_t C(m, t) sum_{j >= 0} (j + 1) tr(R_t[j - hi] R_{m-t}[-lo - 2 - j])
 
-where R[e] is the lam^e coefficient matrix; levels carry no positive
-powers, so j stops at hi. Reading a coefficient below its entry's depth
-raises DepthExceeded.
+where R[e] is the lam^e coefficient matrix.
+
+Depth rule. With ks = (b,)*m + (i, j) and n = m + 2, the extraction's
+budget is the cycle DP's sum(ks) + n = (b + 1)m + i + j + 2: extract_bij
+raises DepthExceeded for a depth D below it before building any level,
+and at D >= budget every coefficient the sum reads is exact. Proof, from
+the LambdaSeries validity depths (p1gw.series):
+
+  * No level has a positive power: [lam^(b+1) R, R] = 0, so by Leibniz the
+    (+) in the level sum may be read as -(-), and every bracket has
+    exponents <= -1. A computed level stores only true coefficients (all
+    at or above its validity floor) and no zeros, so its deg_plus is 0.
+  * _shift_plus lowers R_t's validity depth by b + 1 and keeps the plus
+    part: it needs that depth >= 0 and gives a polynomial P of degree
+    <= b + 1 and depth INF. In Mat2.commutator(P, R_s) both products are
+    valid to N(R_s) - deg_plus(P) >= N(R_s) - (b + 1); sums keep the
+    least depth, and so does the eps cap. By induction level t is valid to
+    D - (b + 1)t, with equality from the split whose P comes from R_0.
+  * _pair_sum reads R_t at j - hi >= -hi and R_{m-t} at -lo - 2 - j >=
+    -(i + j + 2), as j <= hi. The deepest read, level m at -(i + j + 2),
+    is valid iff D - (b + 1)m >= i + j + 2, that is D >= budget; every
+    other read and every plus part (D >= (b + 1)m) is then valid too, and
+    at D = budget - 1 that read is one below its floor.
+
+So the default depth is the budget, and the stability rerun STABILITY_STEP
+deeper is expected to agree. An odd b*m + i + j admits no degree: the
+value is zero at any depth. Table row n is the pair (b, n - 2, b, b) with
+budget (b + 1)n; polygon_table runs at its deepest even-weight row's
+budget by default and raises UnstableExtraction below it.
 
 Every eps exponent in sight is non-negative and the final normalization
 divides by a fixed eps power, so dropping eps exponents above a cap chosen
@@ -70,8 +96,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .correlators import ESCALATE_STEP, MAX_POINTS, escalate, n_point, one_point, two_point
-from .eps import EpsLaurent, from_packed, pack, pack_width, packed_trim, repack, scaled_rows
+from .correlators import MAX_POINTS, STABILITY_STEP, n_point, one_point, two_point
+from .eps import EPS_ZERO, EpsLaurent, from_packed, pack, pack_width, packed_trim, repack, scaled_rows
 from .errors import (
     DepthExceeded,
     IndexOutOfRange,
@@ -111,9 +137,9 @@ class RecursionKey:
 
 
 def _as_weights(key):
-    if isinstance(key, RecursionKey):
-        return key.b_values
-    key = RecursionKey(tuple(key), tuple(range(1, len(tuple(key)) + 1)))
+    if not isinstance(key, RecursionKey):
+        bs = tuple(key)  # read once: key may be an iterator
+        key = RecursionKey(bs, range(1, len(bs) + 1))
     return key.b_values
 
 
@@ -289,7 +315,7 @@ def r_family(key, depth: int, eps_cap=None) -> Mat2:
     """
     if depth < 0:
         raise MalformedValue("depth must be >= 0")
-    bs = tuple(_as_weights(key))
+    bs = _as_weights(key)
     with _LOCK:
         fam = _FAMILY_MEMO.lookup((depth, eps_cap), lambda: _Levels(_subset_spec, depth, eps_cap))
         return fam.rational(fam.level(bs), len(bs))
@@ -309,15 +335,17 @@ def rm_equal(b: int, m: int, depth: int, eps_cap=None) -> Mat2:
 
 
 def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
-    return (b + 2) * (m + 2) + max(i, j) + 4
+    """The pair's spend budget sum(ks) + n, the least sound depth."""
+    return (b + 1) * m + i + j + 2
 
 
 def _pair_sum(levels, m, hi, lo, read=lambda x: x):
     """sum_t C(m, t) sum_j (j + 1) tr(R_t[j - hi] R_{m-t}[-lo - 2 - j]).
 
-    levels[t] is R_t; j runs over every exponent the left factor stores at
-    or above -hi, and each coefficient read goes through `read`. Reading one
-    below its entry's depth raises DepthExceeded.
+    levels[t] is R_t and each coefficient read goes through `read`. Levels
+    have no positive powers, so j stops at hi. At a depth within the budget
+    every read is at or above its entry's validity floor (module docstring),
+    so a missing coefficient is a true zero.
     """
     total = 0
     for t in range(m + 1):
@@ -325,15 +353,10 @@ def _pair_sum(levels, m, hi, lo, read=lambda x: x):
         acc = 0
         # tr(XY) pairs the entries (a, a), (b, c), (c, b), (d, d)
         for sl, sr in ((left.a, right.a), (left.b, right.c), (left.c, right.b), (left.d, right.d)):
-            for j in range(hi + sl.deg_plus() + 1):
-                e1, e2 = j - hi, -lo - 2 - j
-                if e1 < -sl.depth:
-                    raise DepthExceeded(e1, sl.depth, f"level {t}")
-                if e2 < -sr.depth:
-                    raise DepthExceeded(e2, sr.depth, f"level {m - t}")
-                x = sl.coeffs.get(e1)
+            for j in range(hi + 1):
+                x = sl.coeffs.get(j - hi)
                 if x:
-                    y = sr.coeffs.get(e2)
+                    y = sr.coeffs.get(-lo - 2 - j)
                     if y:
                         acc += (j + 1) * read(x) * read(y)
         total += binomial(m, t) * acc
@@ -364,6 +387,8 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
 
     The generating identity only sums over i, j >= 1; whether its shallow
     slots also carry tau_0 data is not something this engine will guess.
+    An odd b*m + i + j gives zero at any depth; otherwise a depth below
+    default_extract_depth raises DepthExceeded.
     """
     if i < 1 or j < 1:
         raise IndexOutOfRange(f"extraction needs i, j >= 1, got ({i}, {j})")
@@ -371,9 +396,14 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
         raise IndexOutOfRange(f"recursion route needs weight >= 1, got {b}")
     if m < 0:
         raise MalformedValue(f"level must be >= 0, got {m}")
-    return escalate(
-        lambda d: _extract_at_depth(b, m, i, j, d, eps_cap), depth, default_extract_depth(b, m, i, j)
-    )[0]
+    if (b * m + i + j) % 2:
+        return EPS_ZERO
+    budget = default_extract_depth(b, m, i, j)
+    if depth is None:
+        depth = budget
+    elif depth < budget:
+        raise DepthExceeded(-budget, depth, "pair extraction")
+    return _extract_at_depth(b, m, i, j, depth, eps_cap)
 
 
 def degree_for(b: int, n: int, g: int) -> int:
@@ -397,8 +427,7 @@ class PolygonTable:
         return self.rows[n - 1][g]
 
 
-def _table_rows(b, n_max, g_max, depth, cap):
-    top = n_max - (b * n_max) % 2  # the deepest row with an even total weight
+def _table_rows(b, n_max, g_max, depth, cap, top):
     if b >= 1 and top >= 2:
         # pack the levels once, at a width that covers the deepest row
         with _LOCK:
@@ -411,11 +440,8 @@ def _table_rows(b, n_max, g_max, depth, cap):
         if n == 1:
             series = one_point(b)
         elif b == 0:
-            # index-0 insertions are outside the recursion route
-            if n == 2:
-                series = two_point(0, 0)
-            else:
-                series = n_point((0,) * n)
+            # index-0 insertions run the cycle DP, whose budget for n of them is n <= depth
+            series = two_point(0, 0, depth) if n == 2 else n_point((0,) * n, depth)
         else:
             series = extract_bij(b, n - 2, b, b, depth=depth, eps_cap=cap)
         rows.append(tuple(series.coeff(2 * g - 2) for g in range(g_max + 1)))
@@ -427,8 +453,10 @@ def polygon_table(b: int, n_max: int, g_max=None, depth=None, stability: bool = 
 
     Cell (n, g) is the genus-g invariant at the pinned degree bn/2 + 1 - g.
     One shared truncation depth serves every row so the per-level memo is hit
-    across rows; with stability on, the whole table is recomputed four orders
-    deeper and compared.
+    across rows: by default the budget (b + 1) * top of the deepest row top
+    with an even total weight, and an explicit depth below it raises
+    UnstableExtraction. With stability on, the whole table is recomputed
+    STABILITY_STEP orders deeper and compared.
     """
     if b < 0:
         raise IndexOutOfRange(f"weight must be >= 0, got {b}")
@@ -441,17 +469,21 @@ def polygon_table(b: int, n_max: int, g_max=None, depth=None, stability: bool = 
         g_max = max(b * n_max // 2, 0)
     if g_max < 0:
         raise MalformedValue(f"g_max must be >= 0, got {g_max}")
+    top = n_max - (b * n_max) % 2  # the deepest row with an even total weight
+    budget = (b + 1) * top  # sum(ks) + n for that row's n insertions
     if depth is None:
-        depth = (b + 2) * n_max + 4
+        depth = budget
+    elif depth < budget:
+        raise UnstableExtraction(f"weight-{b} table to n = {n_max} needs depth >= {budget}, got {depth}")
     cap = n_max * (b + 1) + 2
-    rows = _table_rows(b, n_max, g_max, depth, cap)
+    rows = _table_rows(b, n_max, g_max, depth, cap, top)
     verified = False
     if stability and b >= 1 and n_max >= 2:
-        again = _table_rows(b, n_max, g_max, depth + ESCALATE_STEP, cap)
+        again = _table_rows(b, n_max, g_max, depth + STABILITY_STEP, cap, top)
         if again != rows:
             raise UnstableExtraction(
                 f"weight-{b} table changed between depths {depth} and "
-                f"{depth + ESCALATE_STEP}"
+                f"{depth + STABILITY_STEP}"
             )
         verified = True
     return PolygonTable(b, g_max, tuple(rows), depth, verified)

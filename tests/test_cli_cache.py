@@ -1,10 +1,11 @@
 """The command line surface."""
 
 import json
+from unittest import mock
 
 import pytest
 
-from p1gw import cli
+from p1gw import cli, recursion
 from p1gw.render import eps_series_obj, to_json
 from p1gw.resolvent import resolvent_bundle
 
@@ -63,6 +64,23 @@ def test_cli_correlator_unstable_depth_exits_two(capsys):
         assert code == 2
         assert out == ""
         assert "unstable" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--b", "2", "--n-max", "3", "--depth", "5"],  # needs depth >= 9
+        ["hurwitz", "--n-max", "4", "--depth", "7", "--no-stability"],  # needs depth >= 8
+    ],
+)
+def test_cli_table_shallow_depth_exits_two(capsys, argv):
+    # a table depth below its deepest row's budget exits 2 before any row
+    # is computed, as a correlator does
+    with mock.patch.object(recursion, "_table_rows", side_effect=AssertionError):
+        code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "unstable" in err.lower()
 
 
 def test_cli_correlator_no_stability_accepts_fixed_depth(capsys):

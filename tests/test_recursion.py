@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from brute_force import windowed_extract
 from p1gw import recursion
-from p1gw.correlators import MAX_POINTS, n_point, two_point
-from p1gw.eps import EpsLaurent, unpack
-from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue
+from p1gw.correlators import MAX_POINTS, STABILITY_STEP, n_point, two_point
+from p1gw.eps import EPS_ZERO, EpsLaurent, unpack
+from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
 from p1gw.rational import Rat
 from p1gw.recursion import (
     PolygonTable,
@@ -53,6 +53,10 @@ def test_family_is_label_order_independent():
         idx = tuple((1, 2, 3)[i] for i in perm)
         other = r_family(RecursionKey(bs, idx), depth)
         assert other == base
+
+
+def test_family_key_may_be_an_iterator():
+    assert r_family(iter([1, 2]), 10) == r_family((1, 2), 10)
 
 
 def test_equal_weight_shortcut_matches_general_family():
@@ -95,8 +99,46 @@ def test_eps_cap_does_not_change_values():
     assert full == capped
 
 
-def test_default_extract_depth_formula():
-    assert default_extract_depth(2, 1, 2, 3) == (2 + 2) * (1 + 2) + 3 + 4
+_EVEN_GRID = [
+    (b, m, i, j)
+    for b in range(1, 4)
+    for m in range(5)
+    for i in range(1, 4)
+    for j in range(1, 4)
+    if (b * m + i + j) % 2 == 0
+]
+
+
+def _budget(b, m, i, j):
+    ks = (b,) * m + (i, j)
+    return sum(ks) + len(ks)  # the cycle DP's spend budget
+
+
+def test_extraction_raises_exactly_below_the_budget():
+    assert len(_EVEN_GRID) == 71
+    budget = {case: _budget(*case) for case in _EVEN_GRID}
+    assert all(default_extract_depth(*case) == d for case, d in budget.items())
+    # below the budget: DepthExceeded at once, before any level is built
+    with mock.patch.object(recursion, "_equal_levels", side_effect=AssertionError):
+        for case, d in budget.items():
+            for depth in range(d):
+                with pytest.raises(DepthExceeded):
+                    extract_bij(*case, depth=depth)
+    # from the budget through budget + 4: the default value; depth-major, so
+    # the levels at one depth serve every case
+    want = {case: extract_bij(*case) for case in _EVEN_GRID}
+    for depth in range(max(budget.values()) + STABILITY_STEP + 1):
+        for case, d in budget.items():
+            if d <= depth <= d + STABILITY_STEP:
+                assert extract_bij(*case, depth=depth) == want[case], (case, depth)
+
+
+def test_odd_weight_extraction_is_zero_at_once():
+    with mock.patch.object(recursion, "_extract_at_depth", side_effect=AssertionError):
+        for b, m, i, j, depth in ((1, 2, 1, 2, None), (2, 3, 1, 2, 1), (3, 1, 2, 2, 30)):
+            assert extract_bij(b, m, i, j, depth=depth) == EPS_ZERO
+        with pytest.raises(IndexOutOfRange):
+            extract_bij(2, 1, 0, 1)  # arguments are still validated first
 
 
 def test_degree_for():
@@ -124,6 +166,13 @@ def test_polygon_table_weight_zero_routes():
     tab = polygon_table(0, 4)
     assert tab.g_max == 0
     assert all(tab.cell(n, 0) == 1 for n in range(1, 5))
+    # the rows run the cycle DP at the table's depth, so its budget applies
+    assert tab.depth_used == 4
+    with mock.patch.object(recursion, "n_point", wraps=n_point) as spy:
+        polygon_table(0, 4, depth=9)
+    assert [c.args for c in spy.call_args_list] == [((0,) * 3, 9), ((0,) * 4, 9)]
+    with pytest.raises(UnstableExtraction):
+        polygon_table(0, 4, depth=3)
 
 
 def test_polygon_table_bounds_and_validation():
@@ -149,6 +198,24 @@ def test_polygon_table_depth_override_consistent():
     assert base.rows == deeper.rows
 
 
+@pytest.mark.parametrize("b, n_max", [(1, 12), (2, 8), (3, 4), (4, 3), (1, 6), (2, 5), (3, 5)])
+def test_polygon_table_runs_at_its_deepest_row_budget(b, n_max):
+    top = n_max - (b * n_max) % 2  # the deepest row with an even total weight
+    budget = _budget(b, top - 2, b, b)
+    tab = polygon_table(b, n_max)
+    assert (tab.depth_used, tab.stability_verified) == (budget, True)
+    for n in range(2, n_max + 1):
+        if (b * n) % 2:
+            assert set(tab.rows[n - 1]) == {0}, n
+            continue
+        frozen = reference.table_row(b, n)
+        assert tab.rows[n - 1][: len(frozen)] == frozen[: tab.g_max + 1], n
+    # one below the budget raises before any row is computed
+    with mock.patch.object(recursion, "_table_rows", side_effect=AssertionError):
+        with pytest.raises(UnstableExtraction, match=f"needs depth >= {budget}"):
+            polygon_table(b, n_max, depth=budget - 1, stability=False)
+
+
 _GRID = [
     (b, m, i, j)
     for b in range(1, 4)
@@ -161,21 +228,25 @@ _GRID = [
 def test_direct_extraction_matches_windowed_product():
     assert len(_GRID) == 108
     for b, m, i, j in _GRID:
-        depth = default_extract_depth(b, m, i, j)
-        got = extract_bij(b, m, i, j, depth=depth)
+        # the bivariate product's validity floors are more conservative than
+        # the direct sum's budget, so it runs deeper; both values are exact
+        depth = (b + 2) * (m + 2) + max(i, j) + 4
+        got = extract_bij(b, m, i, j)
         assert got == windowed_extract(b, m, i, j, depth), (b, m, i, j)
 
 
 def test_direct_extraction_never_misreads_a_shallow_depth():
-    # every depth below the default either raises or gives the default value
+    # every depth up to the default either raises or gives the default value;
+    # a depth below the default reads the levels past their validity floors
+    # unless the budget check stops it
     raised = 0
     for b in range(1, 4):
         cases = {case[1:]: default_extract_depth(*case) for case in _GRID if case[0] == b}
-        want = {case: extract_bij(b, *case, depth=d) for case, d in cases.items()}
+        want = {case: extract_bij(b, *case) for case in cases}
         # depth-major order, so the levels at one depth serve every case
-        for depth in range(max(cases.values())):
+        for depth in range(max(cases.values()) + 1):
             for case, d in cases.items():
-                if depth >= d:
+                if depth > d:
                     continue
                 try:
                     got = extract_bij(b, *case, depth=depth)
@@ -217,7 +288,8 @@ def test_integer_recursion_matches_rational_ring(b, m, capped, data):
 
 def test_table_levels_packing_width_is_proven():
     b, n_max = 1, 12
-    depth, cap = (b + 2) * n_max + 4, n_max * (b + 1) + 2  # as polygon_table(1, 12)
+    # polygon_table(1, 12)'s cap, at a depth past its own 24 for more coefficients
+    depth, cap = 40, n_max * (b + 1) + 2
     fam = recursion._equal_levels(b, depth, cap)
     fam.level(n_max - 2)
     entries = lambda mat: (mat.a, mat.b, mat.c, mat.d)  # noqa: E731
