@@ -1,10 +1,11 @@
 """Exact stationary Gromov-Witten invariants of the projective line.
 
 All computations run over exact rationals. The resolvent matrix is built
-from closed coefficient formulas; correlators of two or more insertions
-come from one cycle-sum dynamic program over traces of resolvent
-products; equal-insertion tables come from a commutator recursion on the
-resolvent family; and an independent oracle layer (closed product and
+from closed coefficient formulas; correlator() serves a closed one-point
+formula, the divisor equation for index-0 insertions and a commutator
+recursion on the resolvent family, which also gives the equal-insertion
+tables; two_point and n_point evaluate one cycle-sum dynamic program over
+traces of resolvent products; and an independent oracle layer (closed product and
 binomial-sum formulas, generating-function identities, large-genus
 asymptotics) cross-checks everything it can reach.
 """

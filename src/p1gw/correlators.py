@@ -1,20 +1,32 @@
 """Stationary correlator evaluation from the resolvent bundle.
 
-Two engines, by insertion count:
+Two engines here, by insertion count:
 
   * one_point: closed evaluation through truncated powers of the core even
     series (degree d contributes coefficient extraction from the (2d-1)-th
     power, with d = 0 handled by the inverse series).
-  * two_point and n_point (2..8 insertions): cycle sums. For every
-    arrangement of the variables around a cycle (last variable pinned,
-    killing the cyclic redundancy), the trace of the resolvent product
-    divided by consecutive differences contributes; the wanted
-    multi-exponent coefficient is assembled by a prefix dynamic program over
-    arrangements that shares partial matrix products between arrangements
-    with the same frontier. At two insertions there is one arrangement, and
-    the sum also holds the disconnected term -1/(lam_0 - lam_1)^2 of the
-    identity; its slot-1 exponents are >= 0, so it never reaches a target
-    exponent (<= -2), and the cancellation probes subtract it in closed form.
+  * two_point and n_point (2..8 insertions), the direct engine: cycle
+    sums. For every arrangement of the variables around a cycle (last
+    variable pinned, killing the cyclic redundancy), the trace of the
+    resolvent product divided by consecutive differences contributes; the
+    wanted multi-exponent coefficient is assembled by a prefix dynamic
+    program over arrangements that shares partial matrix products between
+    arrangements with the same frontier. At two insertions there is one
+    arrangement, and the sum also holds the disconnected term
+    -1/(lam_0 - lam_1)^2 of the identity; its slot-1 exponents are >= 0, so
+    it never reaches a target exponent (<= -2), and the cancellation probes
+    subtract it in closed form.
+
+correlator() serves neither cycle sum. It strips the index-0 insertions
+by the divisor equation <tau_0 X>_{g,d} = d <X>_{g,d} (a factor d**z on the
+eps^(2g-2) coefficient for z zeros; all zeros reduce to one_point(0) with
+z - 1 factors), and evaluates what is left by one_point or, from two
+indices on, by the commutator recursion's pair extraction
+(p1gw.recursion.pair_correlator), whose cost grows with the weights'
+multiset rather than like 2^n. It keeps the cycle DP's depth rule, default
+depth and stability rerun, and so does stability_check. two_point, n_point
+and _evaluate never call the recursion: the tests compare the served route
+with them as an independent one.
 
 A value is a Laurent polynomial in eps; the exponent 2g-2 carries the genus
 g contribution, and the degree is pinned by sum(ks) = 2d + 2g - 2.
@@ -329,6 +341,7 @@ def n_point(ks, depth=None, check_cancellation: bool = True) -> EpsLaurent:
 
 
 def _evaluate(ks, depth: int, check_cancellation: bool) -> EpsLaurent:
+    # the direct engine alone, which the tests check correlator() against
     if len(ks) == 1:
         return one_point(ks[0])
     return _cycle_value(ks, depth, check_cancellation)
@@ -362,12 +375,45 @@ def _too_shallow(ks, err: DepthExceeded) -> UnstableExtraction:
     return UnstableExtraction(f"correlator {ks} needs a deeper truncation: {err}")
 
 
+def _divisor(value: EpsLaurent, total: int, zeros: int) -> EpsLaurent:
+    """Add `zeros` index-0 insertions to value, the correlator of index sum
+    total: <tau_0 X>_{g,d} = d <X>_{g,d} scales the eps^(2g-2) coefficient
+    by d**zeros, with d = (total + 2 - 2g) / 2."""
+    if not zeros:
+        return value
+    return EpsLaurent({e: c * ((total - e) // 2) ** zeros for e, c in value.terms.items()})
+
+
+def _served(ks, depth: int) -> EpsLaurent:
+    """The value correlator() serves for sorted ks: one-point, or the
+    divisor equation over the pair extraction of the nonzero indices.
+
+    A depth below the budget sum(ks) + n raises DepthExceeded for n >= 2;
+    the nonzero indices then run at a depth at or above their own budget.
+    """
+    from .recursion import pair_correlator  # recursion imports this module
+
+    n = len(ks)
+    if n >= 2 and depth < sum(ks) + n:
+        raise DepthExceeded(-(sum(ks) + n), depth, "correlator")
+    xs = tuple(k for k in ks if k)
+    zeros = n - len(xs)
+    if len(xs) >= 2:
+        value = pair_correlator(xs, depth)
+    elif xs:
+        value = one_point(xs[0])
+    else:
+        value, zeros = one_point(0), zeros - 1
+    return _divisor(value, sum(ks), zeros)
+
+
 def stability_check(ks, lo_depth: int, hi_depth: int) -> bool:
-    """Recompute at two depths; any disagreement is an unstable extraction."""
-    ks = _validate_ks(ks)
+    """Recompute at two depths along correlator()'s route; any disagreement
+    is an unstable extraction."""
+    ks = tuple(sorted(_validate_ks(ks), reverse=True))
     try:
-        lo = _evaluate(ks, lo_depth, False)
-        hi = _evaluate(ks, hi_depth, False)
+        lo = _served(ks, lo_depth)
+        hi = _served(ks, hi_depth)
     except DepthExceeded as err:
         raise _too_shallow(ks, err) from err
     if lo != hi:
@@ -390,18 +436,20 @@ class CorrelatorRecord:
 def correlator(ks, depth=None, stability: bool = True) -> CorrelatorRecord:
     """Full evaluation pipeline with canonical ordering and a stability recheck.
 
-    Runs once, at the given depth or else the default one. A depth below
-    the spend budget raises UnstableExtraction; the default never does.
-    An odd index sum admits no degree, so its value is zero at any depth.
+    Runs once, at the given depth or else the default one, along _served:
+    one-point, then the divisor equation, then the recursion's pair
+    extraction. A depth below the spend budget raises UnstableExtraction;
+    the default never does. An odd index sum admits no degree, so its
+    value is zero at any depth.
     """
     ks = tuple(sorted(_validate_ks(ks), reverse=True))
     d = default_depth(ks) if depth is None else depth
     if sum(ks) % 2:
         return CorrelatorRecord(ks, EPS_ZERO, split_by_genus(EPS_ZERO, ks), d, stability)
     try:
-        value = _evaluate(ks, d, True)
+        value = _served(ks, d)
         if stability and len(ks) >= 2:
-            deeper = _evaluate(ks, d + STABILITY_STEP, False)
+            deeper = _served(ks, d + STABILITY_STEP)
             if deeper != value:
                 raise UnstableExtraction(
                     f"correlator {ks} changed between depths {d} and {d + STABILITY_STEP}"

@@ -14,72 +14,98 @@ the double trace sum lands on the wrong parity diagonal and misses every
 admissible slot (the joint eps/lambda parity grading of the resolvent makes
 that failure structural, not a small error).
 
-When every weight equals the same b the sum collapses to binomial
-coefficients and it pays to memoize per level instead of per subset.
+Multiset split. R_K depends only on the multiset of weights, not on their
+listing order: acceptance criterion c09 checks this on r_family, which
+keeps the listing recursion above (and recomputes each permuted listing)
+so that the check compares two different computations. That
+order-independence is what lets a key be a count vector c over the
+distinct weights u_1..u_r, with c_v copies of u_v. Remove one copy of the
+first weight u present; the 2^k sublist pairs of the rest r fall into one
+class per count vector s <= r, of prod_v C(r_v, s_v) equal terms:
 
-Extraction: the double trace sum
+    R_c = sum_{s <= r} prod_v C(r_v, s_v) [(lam^{u+1} R_s)_+, R_{r-s}]
 
-    sum_t C(m, t) tr[R_t(lam1) R_{m-t}(lam2)] / (lam1 - lam2)^2
+A multiset has prod_v (c_v + 1) sub-keys, not 2^k sublists. With one
+weight b the key (m,) is level m of the equal-weight family and the
+weights are the binomials C(m - 1, t); rm_equal, extract_bij, the tables
+and pair_correlator all read these levels.
+
+Extraction: for weights with count vector c, m = sum_v c_v of them, the
+double trace sum
+
+    sum_{s <= c} w_s tr[R_s(lam1) R_{c-s}(lam2)] / (lam1 - lam2)^2,
+    w_s = prod_v C(c_v, s_v)
 
 carries, at the coefficient of lam1^(-i-2) lam2^(-j-2) with i, j >= 1, the
-correlator with m weight-b insertions plus one tau_i and one tau_j, up to
-the factorial and eps normalization stripped off in extract_bij. The m = 0
+correlator with the m weight insertions plus one tau_i and one tau_j, up
+to the factorial and eps normalization stripped off in _extract. The m = 0
 case also subtracts 1/(lam1 - lam2)^2; that term only touches slots with a
 non-negative exponent in lam2, never a doubly-negative one, so it never
 reaches the target. Expanding 1/(lam1 - lam2)^2 = sum_j (j+1) lam2^j
 lam1^(-j-2) reads the target off as a one-variable sum, with hi >= lo the
 two targets:
 
-    sum_t C(m, t) sum_{j >= 0} (j + 1) tr(R_t[j - hi] R_{m-t}[-lo - 2 - j])
+    sum_{s <= c} w_s sum_{j >= 0} (j + 1) tr(R_s[j - hi] R_{c-s}[-lo - 2 - j])
 
-where R[e] is the lam^e coefficient matrix.
+where R[e] is the lam^e coefficient matrix. pair_correlator serves
+p1gw.correlators.correlator with it: the two largest indices are the pair,
+the rest the weights. Index-0 insertions never reach it: correlator strips
+them first by the divisor equation <tau_0 X>_{g,d} = d <X>_{g,d}, which
+multiplies the eps^(2g-2) coefficient by d**z for z zeros, with
+d = (sum(ks) + 2 - 2g) / 2.
 
-Depth rule. With ks = (b,)*m + (i, j) and n = m + 2, the extraction's
-budget is the cycle DP's sum(ks) + n = (b + 1)m + i + j + 2: extract_bij
-raises DepthExceeded for a depth D below it before building any level,
-and at D >= budget every coefficient the sum reads is exact. Proof, from
-the LambdaSeries validity depths (p1gw.series):
+Depth rule. With ks = the weights + (i, j) and n = m + 2, the
+extraction's budget is the cycle DP's sum(ks) + n = sum over the weights
+w of (w + 1), plus i + j + 2; for equal weights b that is
+(b + 1)m + i + j + 2. extract_bij and pair_correlator raise DepthExceeded
+for a depth D below it before building any level, and at D >= budget
+every coefficient the sum reads is exact. Proof, from the LambdaSeries
+validity depths (p1gw.series):
 
-  * No level has a positive power: [lam^(b+1) R, R] = 0, so by Leibniz the
+  * No level has a positive power: [lam^(u+1) R, R] = 0, so by Leibniz the
     (+) in the level sum may be read as -(-), and every bracket has
     exponents <= -1. A computed level stores only true coefficients (all
     at or above its validity floor) and no zeros, so its deg_plus is 0.
-  * _shift_plus lowers R_t's validity depth by b + 1 and keeps the plus
+  * _shift_plus lowers R_s's validity depth by u + 1 and keeps the plus
     part: it needs that depth >= 0 and gives a polynomial P of degree
-    <= b + 1 and depth INF. In Mat2.commutator(P, R_s) both products are
-    valid to N(R_s) - deg_plus(P) >= N(R_s) - (b + 1); sums keep the
-    least depth, and so does the eps cap. By induction level t is valid to
-    D - (b + 1)t, with equality from the split whose P comes from R_0.
-  * _pair_sum reads R_t at j - hi >= -hi and R_{m-t} at -lo - 2 - j >=
-    -(i + j + 2), as j <= hi. The deepest read, level m at -(i + j + 2),
-    is valid iff D - (b + 1)m >= i + j + 2, that is D >= budget; every
-    other read and every plus part (D >= (b + 1)m) is then valid too, and
-    at D = budget - 1 that read is one below its floor.
+    <= u + 1 and depth INF. In Mat2.commutator(P, R) both products are
+    valid to N(R) - deg_plus(P) >= N(R) - (u + 1); sums keep the least
+    depth, and so does the eps cap. By induction the level of a key is
+    valid to D minus the sum of (w + 1) over its weights, with equality
+    from the split whose P comes from R_0.
+  * _pair_sum reads R_s at j - hi >= -hi and R_{c-s} at -lo - 2 - j >=
+    -(i + j + 2), as j <= hi. The deepest read, R_c at -(i + j + 2), is
+    valid iff D - sum(w + 1) >= i + j + 2, that is D >= budget; every
+    other read and every plus part (D >= sum(w + 1)) is then valid too,
+    and at D = budget - 1 that read is one below its floor.
 
 So the default depth is the budget, and the stability rerun STABILITY_STEP
-deeper is expected to agree. An odd b*m + i + j admits no degree: the
-value is zero at any depth. Table row n is the pair (b, n - 2, b, b) with
-budget (b + 1)n; polygon_table runs at its deepest even-weight row's
-budget by default and raises UnstableExtraction below it.
+deeper is expected to agree. An odd index sum admits no degree: the value
+is zero at any depth. correlator runs the nonzero indices at its own depth,
+whose budget counts the zeros too, so it is at or above theirs. Table row n
+is the pair (b, n - 2, b, b) with budget (b + 1)n; polygon_table runs at
+its deepest even-weight row's budget by default and raises
+UnstableExtraction below it.
 
 Every eps exponent in sight is non-negative and the final normalization
 divides by a fixed eps power, so dropping eps exponents above a cap chosen
-from the target's genus range is exact. The pair (b, m, i, j) has total
-weight bm + i + j = 2d + 2g - 2 with d >= 0, so its genus terms read eps
-exponents up to bm + i + j + m + 2, which is default_extract_depth: a
-smaller eps_cap drops true terms, and extract_bij refuses it
-(MalformedValue), as rm_equal and r_family refuse a negative one. Table
-row n's exponent bound is (b + 1)n, within polygon_table's cap
-n_max(b + 1) + 2. Plain r_family / rm_equal calls keep full coefficients
-unless given a cap.
+from the target's genus range is exact. The pair has total weight
+sum(ks) = 2d + 2g - 2 with d >= 0, so its genus terms read eps exponents up
+to sum(ks) + m + 2, the budget; the multiset split changes no exponent, so
+this bound is the one the equal-weight pair (b, m, i, j) had,
+default_extract_depth. A smaller eps_cap drops true terms, and extract_bij
+refuses it (MalformedValue), as rm_equal and r_family refuse a negative
+one; pair_correlator passes the budget itself. Table row n's exponent
+bound is (b + 1)n, within polygon_table's cap n_max(b + 1) + 2. Plain
+r_family / rm_equal calls keep full coefficients unless given a cap.
 
 Exact integer kernel. Both recursions and the extraction run on the packed
 form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
 proof). The base is the resolvent at the given depth, eps-capped as it is
 scaled by L. Every term of the level of a key with k weights is a product
 of k + 1 base entries (the shift and the plus part never touch eps), so the
-packed level is L**(k+1) times the true one, and the extraction sum at
-level m has m + 2 factors. The recursion body is the Mat2/LambdaSeries
+packed level is L**(k+1) times the true one, and the extraction sum over
+m weights has m + 2 factors. The recursion body is the Mat2/LambdaSeries
 arithmetic itself over int coefficients, validity depths included, so every
 packed level has the keys and depths of the rational one (a level's
 coefficient is zero exactly when its packed int is), and the public
@@ -89,8 +115,9 @@ Norm-bound body: the same body over the l1 norms of the scaled entries, at
 depth INF so that no validity floor drops a key, and with the
 anticommutator in place of the commutator so that every sign is dropped.
 Each lookup knows its deepest key before it starts, so it runs the norm
-pass over exactly the keys that key needs, takes one width from their
-largest entry and packs every level at it; the cached record is never
+pass over exactly the keys that key needs (for a count vector, every
+sub-key, which the pair sum reads), takes one width from their largest
+entry and packs every level at it; the cached record is never
 changed or repacked. The extraction bounds its own sum the same way and
 reads the level coefficients at that width if it is wider.
 
@@ -101,6 +128,7 @@ ints, so the tables cost the same on both.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -205,11 +233,29 @@ def _run(key, spec, base, bracket, trim, memo) -> Mat2:
     return got
 
 
-def _equal_spec(b):
-    def spec(m):
-        if m == 0:
-            return None
-        return b, [(binomial(m - 1, i), i, m - 1 - i) for i in range(m)]
+def _splits(key):
+    """(weight, s, key - s) for every count vector s <= key.
+
+    A count vector holds key[v] copies of the v-th weight of a multiset;
+    its ordered splits I | J as a listing are the s with weight
+    prod_v C(key[v], s[v]) each.
+    """
+    for s in product(*(range(c + 1) for c in key)):
+        w = 1
+        for c, t in zip(key, s):
+            w *= binomial(c, t)
+        yield w, s, tuple(c - t for c, t in zip(key, s))
+
+
+def _multiset_spec(weights):
+    """Spec of count-vector keys over the distinct weights: one copy of the
+    first weight present is removed and the rest split I | J by _splits."""
+
+    def spec(key):
+        for v, c in enumerate(key):
+            if c:
+                return weights[v], list(_splits(key[:v] + (c - 1,) + key[v + 1 :]))
+        return None
 
     return spec
 
@@ -233,8 +279,9 @@ class _Levels(NamedTuple):
     packed[key] is L**(k+1) times the true matrix of a key with k weights
     (L = scale, from the scaled base), each eps-polynomial packed at eps =
     2**width; norms[key] is the norm pass of the same key. Both hold every
-    key the lookup's key needs, and width comes from their largest norm
-    entry. Nothing changes a record once it is built.
+    key the lookup's key needs, and for a count vector every sub-key too,
+    which the pair sum reads; width comes from their largest norm entry.
+    Nothing changes a record once it is built.
     """
 
     scale: int
@@ -244,14 +291,15 @@ class _Levels(NamedTuple):
 
 
 @lru_cache(maxsize=MEMO_FAMILIES)
-def _levels(b, key, depth, cap) -> _Levels:
-    """Levels that key needs: equal weights b at level key, or, with b None,
-    the subset recursion of the weight tuple key.
+def _levels(weights, key, depth, cap) -> _Levels:
+    """Levels that key needs: the count vector key over the distinct
+    weights, or, with weights None, the subset recursion of the weight
+    listing key.
 
     Two threads asking for one missing entry may both build it; the results
     are equal and neither is ever changed, so no lock is needed.
     """
-    spec = _subset_spec if b is None else _equal_spec(b)
+    spec = _subset_spec if weights is None else _multiset_spec(weights)
     r = resolvent_bundle(depth).r
     entries = (r.a, r.b, r.c, r.d)
     scale, rows = scaled_rows([c for s in entries for c in s.coeffs.values()], cap)
@@ -266,11 +314,17 @@ def _levels(b, key, depth, cap) -> _Levels:
     norm_base = lambda: base.map_entries(  # noqa: E731
         lambda s: LambdaSeries._raw({e: sum(map(abs, row)) for e, row in s.coeffs.items()}, INF)
     )
-    _run(key, spec, norm_base, _anticommutator, None, norms)
+    # a count vector's pair sum reads every sub-key, which its own
+    # recursion need not reach once two weights differ
+    keys = [key] if weights is None else [s for _, s, _ in _splits(key)]
+    for k in keys:
+        _run(k, spec, norm_base, _anticommutator, None, norms)
     width = pack_width(max(map(_largest, norms.values())))
     trim = None if cap is None else packed_trim(width, cap)
     packed = {}
-    _run(key, spec, lambda: _mapped(base, lambda row: pack(row, width)), Mat2.commutator, trim, packed)
+    packed_base = lambda: _mapped(base, lambda row: pack(row, width))  # noqa: E731
+    for k in keys:
+        _run(k, spec, packed_base, Mat2.commutator, trim, packed)
     return _Levels(scale, width, MappingProxyType(norms), MappingProxyType(packed))
 
 
@@ -309,7 +363,7 @@ def rm_equal(b: int, m: int, depth: int, eps_cap=None) -> Mat2:
     if depth < 0:
         raise MalformedValue("depth must be >= 0")
     _check_cap(eps_cap)
-    return _rational(_levels(b, m, depth, eps_cap), m, m)
+    return _rational(_levels((b,), (m,), depth, eps_cap), (m,), m)
 
 
 def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
@@ -317,17 +371,18 @@ def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
     return (b + 1) * m + i + j + 2
 
 
-def _pair_sum(levels, m, hi, lo, read=lambda x: x):
-    """sum_t C(m, t) sum_j (j + 1) tr(R_t[j - hi] R_{m-t}[-lo - 2 - j]).
+def _pair_sum(levels, key, hi, lo, read=lambda x: x):
+    """sum_s w_s sum_j (j + 1) tr(R_s[j - hi] R_{key-s}[-lo - 2 - j]).
 
-    levels[t] is R_t and each coefficient read goes through `read`. Levels
-    have no positive powers, so j stops at hi. At a depth within the budget
-    every read is at or above its entry's validity floor (module docstring),
-    so a missing coefficient is a true zero.
+    The outer sum runs over the splits (w_s, s, key - s) of the count
+    vector key (_splits). levels[s] is R_s and each coefficient read goes
+    through `read`. Levels have no positive powers, so j stops at hi. At a
+    depth within the budget every read is at or above its entry's validity
+    floor (module docstring), so a missing coefficient is a true zero.
     """
     total = 0
-    for t in range(m + 1):
-        left, right = levels[t], levels[m - t]
+    for w, s, rest in _splits(key):
+        left, right = levels[s], levels[rest]
         acc = 0
         # tr(XY) pairs the entries (a, a), (b, c), (c, b), (d, d)
         for sl, sr in ((left.a, right.a), (left.b, right.c), (left.c, right.b), (left.d, right.d)):
@@ -337,20 +392,24 @@ def _pair_sum(levels, m, hi, lo, read=lambda x: x):
                     y = sr.coeffs.get(-lo - 2 - j)
                     if y:
                         acc += (j + 1) * read(x) * read(y)
-        total += binomial(m, t) * acc
+        total += w * acc
     return total
 
 
-def _extract(levels: _Levels, b, m, i, j) -> EpsLaurent:
-    """The pair (b, m, i, j) read off levels holding levels 0..m."""
+def _extract(levels: _Levels, weights, key, i, j) -> EpsLaurent:
+    """The pair (i, j) over the weights' count vector key, read off levels
+    holding every sub-key of key."""
     hi, lo = (i, j) if i >= j else (j, i)
     # the double sum is symmetric in the two spectral slots, so the larger
     # target index can always ride the expansion's deep variable
-    # the sum has one more factor than level m: read its coefficients at a
-    # width that its own norm bound proves
-    width = max(levels.width, pack_width(_pair_sum(levels.norms, m, hi, lo)))
-    raw = _pair_sum(levels.packed, m, hi, lo, lambda x: repack(x, levels.width, width))
-    denom = levels.scale ** (m + 2) * factorial(i + 1) * factorial(j + 1) * factorial(b + 1) ** m
+    # the sum has one more factor than the level of key: read its
+    # coefficients at a width that its own norm bound proves
+    width = max(levels.width, pack_width(_pair_sum(levels.norms, key, hi, lo)))
+    raw = _pair_sum(levels.packed, key, hi, lo, lambda x: repack(x, levels.width, width))
+    m = sum(key)
+    denom = levels.scale ** (m + 2) * factorial(i + 1) * factorial(j + 1)
+    for w, c in zip(weights, key):
+        denom *= factorial(w + 1) ** c
     return from_packed(raw, width, denom, -(m + 2))
 
 
@@ -378,7 +437,32 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
         depth = budget
     elif depth < budget:
         raise DepthExceeded(-budget, depth, "pair extraction")
-    return _extract(_levels(b, m, depth, eps_cap), b, m, i, j)
+    return _extract(_levels((b,), (m,), depth, eps_cap), (b,), (m,), i, j)
+
+
+def pair_correlator(ks, depth=None) -> EpsLaurent:
+    """Correlator of ks (two or more indices, each >= 1) by the pair extraction.
+
+    The two largest indices are the pair (i, j) and the rest the weights,
+    split as a multiset (module docstring). An odd sum gives zero at any
+    depth; otherwise a depth below the budget sum(ks) + n raises
+    DepthExceeded, and the default depth is that budget. The eps cap is
+    the budget too, the highest eps exponent any genus term reads.
+    """
+    ks = tuple(sorted(ks, reverse=True))
+    if len(ks) < 2 or ks[-1] < 1:
+        raise IndexOutOfRange(f"pair extraction needs two or more indices >= 1, got {ks}")
+    budget = sum(ks) + len(ks)
+    if sum(ks) % 2:
+        return EPS_ZERO
+    if depth is None:
+        depth = budget
+    elif depth < budget:
+        raise DepthExceeded(-budget, depth, "pair extraction")
+    (i, j), ws = ks[:2], ks[2:]
+    weights = tuple(sorted(set(ws), reverse=True))
+    key = tuple(ws.count(w) for w in weights)
+    return _extract(_levels(weights, key, depth, budget), weights, key, i, j)
 
 
 @dataclass(frozen=True)
@@ -397,7 +481,7 @@ class PolygonTable:
 
 def _table_rows(b, n_max, g_max, depth, cap, top):
     # one lookup builds the levels of the deepest row, and every row reads them
-    levels = _levels(b, top - 2, depth, cap) if b >= 1 and top >= 2 else None
+    levels = _levels((b,), (top - 2,), depth, cap) if b >= 1 and top >= 2 else None
     rows = []
     for n in range(1, n_max + 1):
         if (b * n) % 2:
@@ -409,7 +493,7 @@ def _table_rows(b, n_max, g_max, depth, cap, top):
             # index-0 insertions run the cycle DP, whose budget for n of them is n <= depth
             series = two_point(0, 0, depth) if n == 2 else n_point((0,) * n, depth)
         else:
-            series = _extract(levels, b, n - 2, b, b)
+            series = _extract(levels, (b,), (n - 2,), b, b)
         rows.append(tuple(series.coeff(2 * g - 2) for g in range(g_max + 1)))
     return rows
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import n_point_product, two_point_product
-from p1gw import correlators
+from p1gw import correlators, recursion
 from p1gw.correlators import (
     correlator,
     default_depth,
@@ -282,3 +282,71 @@ def test_flagship_packing_width_is_proven():
         assert correlators._cycle_sum(targets, depth) == _laurent_cycle_sum(targets, depth), ks
         checked += 1
     assert checked == 4
+
+
+# correlator() serves one-point, the divisor equation and the recursion's
+# pair extraction; _evaluate with its probes on is the cycle DP, an
+# independent route
+_SERVED_KS = st.lists(st.integers(0, 5), min_size=2, max_size=6).filter(
+    lambda ks: sum(ks) <= 12 and sum(ks) % 2 == 0
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_SERVED_KS)
+def test_served_route_matches_the_cycle_dp(ks):
+    ks = tuple(sorted(ks, reverse=True))
+    assert correlator(ks).value == correlators._evaluate(ks, default_depth(ks), True)
+
+
+@pytest.mark.parametrize(
+    "ks", [(0,), (0, 0), (0, 0, 0), (6, 0), (5, 2, 1, 0), (2, 2, 1, 1), (3, 2, 2, 1)]
+)
+def test_served_route_explicit_cases(ks):
+    want = correlators._evaluate(ks, default_depth(ks), True)
+    assert correlator(ks).value == want
+    budget = sum(ks) + len(ks)
+    for stability in (True, False):
+        rec = correlator(ks[::-1], depth=budget, stability=stability)
+        assert (rec.value, rec.depth_used, rec.stability_verified) == (want, budget, stability)
+        if len(ks) >= 2:
+            with pytest.raises(UnstableExtraction):
+                correlator(ks, depth=budget - 1, stability=stability)
+
+
+def test_divisor_equation_scales_each_genus_by_its_degree():
+    # <tau_0 X>_{g,d} = d <X>_{g,d}, once per index-0 insertion
+    x = correlator((5, 2, 1)).value
+    for zeros in (1, 2, 3):
+        got = correlator((5, 2, 1) + (0,) * zeros).value
+        assert got == EpsLaurent({e: c * ((8 - e) // 2) ** zeros for e, c in x.terms.items()})
+
+
+def test_served_route_never_runs_the_cycle_dp():
+    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+        for ks in [(1,) * 6, (3, 2, 2, 1), (6, 6), (4, 0, 0), (0,) * 8]:
+            correlator(ks)
+        assert stability_check((2, 2, 2), 12, 16)
+
+
+def test_direct_engines_never_call_the_recursion():
+    want = [correlator(ks).value for ks in [(3, 1), (2, 1, 1, 0), (2, 2)]]
+    with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
+        recursion, "pair_correlator", side_effect=AssertionError
+    ):
+        got = [two_point(3, 1), n_point((2, 1, 1, 0)), correlators._evaluate((2, 2), 8, True)]
+    assert got == want
+
+
+def test_stability_check_reruns_the_served_route():
+    orig = recursion.pair_correlator
+
+    def drifting(ks, depth):
+        # a value that depends on the depth, as a truncation bug would
+        return orig(ks, depth) + EpsLaurent.const(depth)
+
+    with mock.patch.object(recursion, "pair_correlator", drifting):
+        with pytest.raises(UnstableExtraction):
+            stability_check((2, 2, 2), 12, 16)
+        with pytest.raises(UnstableExtraction):
+            correlator((2, 2, 2))

@@ -217,7 +217,7 @@ def test_polygon_table_builds_its_levels_once_per_depth():
     assert tab.depth_used == 16 and tab.stability_verified
     cap = 8 * 2 + 2
     for depth in (16, 16 + STABILITY_STEP):
-        assert set(recursion._levels(1, 6, depth, cap).packed) == set(range(7))
+        assert set(recursion._levels((1,), (6,), depth, cap).packed) == {(t,) for t in range(7)}
     assert recursion._levels.cache_info().misses == 2
 
 
@@ -303,7 +303,7 @@ def test_integer_recursion_matches_rational_ring(b, m, capped, data):
     cap = (m + 2) * (b + 1) + 2 if capped else None  # polygon_table's cap for n_max = m + 2
     weights = tuple(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
     for spec, key, packed in (
-        (recursion._equal_spec(b), m, lambda: rm_equal(b, m, depth, cap)),
+        (recursion._multiset_spec((b,)), (m,), lambda: rm_equal(b, m, depth, cap)),
         (recursion._subset_spec, weights, lambda: r_family(weights, depth, cap)),
     ):
         try:
@@ -315,17 +315,46 @@ def test_integer_recursion_matches_rational_ring(b, m, capped, data):
         assert packed() == want  # LambdaSeries equality compares depths too
 
 
+@pytest.mark.parametrize(
+    "weights, key", [((2, 1), (1, 1)), ((2, 1), (1, 2)), ((3, 1), (2, 1)), ((3, 2, 1), (1, 1, 1))]
+)
+@pytest.mark.parametrize("cap", [None, 14])
+def test_multiset_levels_match_the_subset_recursion(weights, key, cap):
+    # every sub-key of a count vector equals the subset recursion of its
+    # listing: the binomial weights count the listing's splits
+    depth = 14
+    levels = recursion._levels(weights, key, depth, cap)
+    assert set(levels.packed) == {s for _, s, _ in recursion._splits(key)}
+    for s in levels.packed:
+        listing = tuple(w for w, c in zip(weights, s) for _ in range(c))
+        assert recursion._rational(levels, s, len(listing)) == r_family(listing, depth, cap), s
+
+
+def test_pair_correlator_matches_the_direct_engine():
+    for ks in [(2, 1, 1), (3, 3), (2, 2, 1, 1), (3, 2, 2, 1), (4, 2, 1, 1), (2, 1, 1, 1, 1)]:
+        want = two_point(*ks) if len(ks) == 2 else n_point(ks)
+        assert recursion.pair_correlator(ks) == want, ks
+        assert recursion.pair_correlator(ks[::-1], depth=sum(ks) + len(ks)) == want, ks
+        with pytest.raises(DepthExceeded):
+            recursion.pair_correlator(ks, depth=sum(ks) + len(ks) - 1)
+    with mock.patch.object(recursion, "_levels", side_effect=AssertionError):
+        assert recursion.pair_correlator((2, 1, 1, 1), depth=1) == EPS_ZERO
+        for bad in [(2,), (2, 0), (3, 1, 0)]:
+            with pytest.raises(IndexOutOfRange):
+                recursion.pair_correlator(bad)
+
+
 def test_table_levels_packing_width_is_proven():
     b, n_max = 1, 12
     # polygon_table(1, 12)'s cap, at a depth past its own 24 for more coefficients
     depth, cap = 40, n_max * (b + 1) + 2
-    fam = recursion._levels(b, n_max - 2, depth, cap)
+    fam = recursion._levels((b,), (n_max - 2,), depth, cap)
     entries = lambda mat: (mat.a, mat.b, mat.c, mat.d)  # noqa: E731
     bound = max(c for mat in fam.norms.values() for s in entries(mat) for c in s.coeffs.values())
     assert bound and fam.width == bound.bit_length() + 2
     checked = 0
     for t in range(n_max - 1):
-        for packed, norms in zip(entries(fam.packed[t]), entries(fam.norms[t])):
+        for packed, norms in zip(entries(fam.packed[(t,)]), entries(fam.norms[(t,)])):
             for e, x in packed.coeffs.items():
                 coeffs = unpack(x, fam.width)
                 # each l1 norm is within its key's norm entry, so every
