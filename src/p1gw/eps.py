@@ -35,6 +35,36 @@ engine), so the table is scaled once and every polynomial becomes one int.
     terms, the norm of a product is at most the product of the norms, and
     an eps cap only lowers a norm, so its result bounds every output
     coefficient, and pack_width(bound) = bound.bit_length() + 2 is safe.
+
+Graded form. The commutator recursion packs by parity: each of its
+polynomials has eps exponents of a single parity p, known from where the
+polynomial sits (p1gw.recursion states the rule), so it is evaluated at
+eps = 2**h with an even block width B = 2h >= pack_width(bound)
+(graded_width). An even polynomial sum_t c_2t eps^2t packs to
+pack([c_0, c_2, ...], B), an odd one to pack([c_1, c_3, ...], B) << h
+(graded_pack, which refuses a polynomial with a term of the other
+parity). This is still evaluation at a power of two, so the same ring-map
+argument holds and products need no change; each int has one B-bit block
+per exponent of its parity, about half the plain form's length.
+
+  * Unpack: an odd int is exactly 2**h times the plain packing of
+    [c_1, c_3, ...] at B, so graded_unpack shifts it right by h and unpacks
+    at B; an even int is the plain packing of [c_0, c_2, ...]. Both are
+    exact under the width condition above, which bounds the same
+    coefficients, and graded_repack and graded_from_packed go through the
+    same reads.
+  * Trim: the exponents of parity p kept under a cap are the blocks
+    t <= (cap - p) // 2, so graded_trim is packed_trim at that block cap,
+    applied to the int shifted right by h when p = 1 and shifted back.
+  * The parity is an argument, taken from the polynomial's position: it
+    cannot be read off the int, whose low h bits are zero for an odd
+    polynomial but may also be zero for an even one.
+
+The cycle DP (p1gw.correlators: two_point, n_point and the weight-0 table
+rows) keeps the plain form on purpose. It serves no hot path, since
+correlator() runs on the recursion, and it is the independent route that
+the recursion's values are tested against, so it shares none of the
+graded bookkeeping it would be checking.
 """
 
 from math import lcm
@@ -320,4 +350,57 @@ def packed_trim(width: int, cap: int):
 def from_packed(x: int, width: int, denom, shift: int = 0) -> EpsLaurent:
     """eps**shift / denom times the polynomial packed in x at width."""
     coeffs = unpack(x, width)
+    return EpsLaurent._raw({e + shift: Rat(c, denom) for e, c in enumerate(coeffs) if c})
+
+
+def graded_width(bound: int) -> int:
+    """Even packing width B >= pack_width(bound), so that eps = 2**(B // 2)."""
+    width = pack_width(bound)
+    return width + width % 2
+
+
+def graded_pack(coeffs, width: int, parity: int) -> int:
+    """A polynomial with exponents of one parity, evaluated at eps = 2**(width // 2).
+
+    coeffs is indexed by eps exponent; a nonzero entry of the other parity
+    raises MalformedValue.
+    """
+    if any(coeffs[1 - parity :: 2]):
+        raise MalformedValue(f"eps-polynomial {list(coeffs)} has a term of parity {1 - parity}")
+    x = pack(coeffs[parity::2], width)
+    return x << (width // 2) if parity else x
+
+
+def graded_unpack(x: int, width: int, parity: int) -> list:
+    """Signed coefficients of a graded packed polynomial, indexed by eps exponent.
+
+    Exact under unpack's condition; the entries of the other parity are zero.
+    """
+    coeffs = unpack(x >> (width // 2) if parity else x, width)
+    out = [0] * (2 * len(coeffs) - 1 + parity) if coeffs else []
+    out[parity::2] = coeffs
+    return out
+
+
+def graded_repack(x: int, old: int, new: int, parity: int) -> int:
+    """A graded polynomial packed at width old, packed at width new instead."""
+    if parity:
+        return repack(x >> (old // 2), old, new) << (new // 2)
+    return repack(x, old, new)
+
+
+def graded_trim(width: int, cap: int, parity: int):
+    """Function dropping eps exponents above cap from a graded packed polynomial."""
+    if cap < parity:
+        return lambda x: 0
+    trim = packed_trim(width, (cap - parity) // 2)
+    if not parity:
+        return trim
+    h = width // 2
+    return lambda x: trim(x >> h) << h
+
+
+def graded_from_packed(x: int, width: int, parity: int, denom, shift: int = 0) -> EpsLaurent:
+    """eps**shift / denom times the graded polynomial packed in x at width."""
+    coeffs = graded_unpack(x, width, parity)
     return EpsLaurent._raw({e + shift: Rat(c, denom) for e, c in enumerate(coeffs) if c})

@@ -99,17 +99,58 @@ one; pair_correlator passes the budget itself. Table row n's exponent
 bound is (b + 1)n, within polygon_table's cap n_max(b + 1) + 2. Plain
 r_family / rm_equal calls keep full coefficients unless given a cap.
 
-Exact integer kernel. Both recursions and the extraction run on the packed
-form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
-proof). The base is the resolvent at the given depth, eps-capped as it is
-scaled by L. Every term of the level of a key with k weights is a product
-of k + 1 base entries (the shift and the plus part never touch eps), so the
-packed level is L**(k+1) times the true one, and the extraction sum over
-m weights has m + 2 factors. The recursion body is the Mat2/LambdaSeries
-arithmetic itself over int coefficients, validity depths included, so every
-packed level has the keys and depths of the rational one (a level's
-coefficient is zero exactly when its packed int is), and the public
-rm_equal / r_family unpack to the same Mat2.
+Exact integer kernel. Both recursions and the extraction run on the graded
+packed form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
+proof and the graded form). The base is the resolvent at the given depth,
+eps-capped as it is scaled by L. Every term of the level of a key with k
+weights is a product of k + 1 base entries (the shift and the plus part
+never touch eps), so the packed level is L**(k+1) times the true one, and
+the extraction sum over m weights has m + 2 factors. The recursion body is
+the Mat2/LambdaSeries arithmetic itself over int coefficients, validity
+depths included, so every packed level has the keys and depths of the
+rational one (a level's coefficient is zero exactly when its packed int
+is), and the public rm_equal / r_family unpack to the same Mat2.
+
+Parity rule. At entry (r, c) and lam^e of the level of a key with weights
+w_1..w_k, every eps exponent has the parity
+
+    e + [r != c] + sum_i (w_i + 1)   (mod 2);
+
+the last term is the key's grade (_grade). Proof, by induction over the
+recursion:
+
+  * Base (no weights): by the closed forms in p1gw.resolvent, the diagonal
+    1 + alpha and -alpha sit at even powers of lam (lam^0, lam^(-2j-2))
+    with even eps powers; off the diagonal, p sits at odd powers
+    lam^(-2j-1) with even eps powers and q at even powers lam^(-2j-2) with
+    odd eps powers. So every eps exponent has the parity of e + [r != c].
+    graded_pack checks each base row it packs and raises on a term of the
+    other parity; the eps cap only drops terms.
+  * Products: (XY) at (r, c), lam^e sums X_(r,k)[e1] Y_(k,c)[e2] over
+    e1 + e2 = e, eps exponents add, and [r != k] + [k != c] = [r != c]
+    (mod 2) in a 2x2 matrix, so the product of levels of grades g_X, g_Y
+    follows the rule with grade g_X + g_Y.
+  * Shift: lam^(u+1) X moves the coefficient at lam^e to lam^(e+u+1)
+    without touching eps, so it follows the rule with grade g_X + u + 1;
+    its plus part keeps some of those coefficients.
+  * Sums, integer multiples and the cap keep the grade, so a commutator
+    (two products of one grade) does too, and every term
+    [(lam^(u+1) R_J)_+, R_I] of R_K has grade (u + 1) + g_J + g_I, the
+    grade of K: R_K follows the rule.
+  * Pair sum: tr(R_s[j - hi] R_{c-s}[-lo - 2 - j]) multiplies coefficients
+    of parities j - hi + off + g_s and -lo - 2 - j + off + g_{c-s}, with
+    off = [r != c] the same for both entries of a trace pair, so every term
+    has the parity of i + j + g_c = i + j + sum(w) + m. That is m mod 2,
+    since every extraction has an even total weight i + j + sum(w) (an
+    odd one is answered with zero before any level is built).
+
+So each level packs at eps = 2**(width / 2) with an even width, and the
+parity is taken from the coefficient's position (_graded, _pair_sum),
+never from the int, at the three places that need it: packing the base,
+the eps-cap trim, and every unpack or repack (_rational, the pair sum's
+widened reads and _extract's final read). The body in between is
+unchanged, and each packed int is about half the length of the plain
+Kronecker form.
 
 Norm-bound body: the same body over the l1 norms of the scaled entries, at
 depth INF so that no validity floor drops a key, and with the
@@ -117,8 +158,9 @@ anticommutator in place of the commutator so that every sign is dropped.
 Each lookup knows its deepest key before it starts, so it runs the norm
 pass over exactly the keys that key needs (for a count vector, every
 sub-key, which the pair sum reads), takes one width from their largest
-entry and packs every level at it; the cached record is never
-changed or repacked. The extraction bounds its own sum the same way and
+entry (graded_width, the least even width at or above pack_width) and
+packs every level at it; the cached record is never changed or
+repacked. The extraction bounds its own sum the same way and
 reads the level coefficients at that width if it is wider.
 
 The same body also runs over the rational EpsLaurent base, which the tests
@@ -133,7 +175,16 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .correlators import MAX_POINTS, STABILITY_STEP, n_point, one_point, two_point
-from .eps import EPS_ZERO, EpsLaurent, from_packed, pack, pack_width, packed_trim, repack, scaled_rows
+from .eps import (
+    EPS_ZERO,
+    EpsLaurent,
+    graded_from_packed,
+    graded_pack,
+    graded_repack,
+    graded_trim,
+    graded_width,
+    scaled_rows,
+)
 from .errors import (
     DepthExceeded,
     IndexOutOfRange,
@@ -179,15 +230,27 @@ def _as_weights(key):
     return key.b_values
 
 
-def _trimmed(mat: Mat2, trim) -> Mat2:
-    """Apply trim to every coefficient, dropping the ones it zeroes."""
-    return mat.map_entries(
-        lambda s: LambdaSeries._raw({e: t for e, c in s.coeffs.items() if (t := trim(c))}, s.depth)
+def _grade(weights, key) -> int:
+    """sum(w + 1) mod 2 over the weights w of key: a count vector over the
+    distinct weights, or, with weights None, a weight listing."""
+    if weights is None:
+        return sum(w + 1 for w in key) % 2
+    return sum(c * (u + 1) for u, c in zip(weights, key)) % 2
+
+
+def _graded(mat: Mat2, grade: int, fn) -> Mat2:
+    """fn(x, p) for every coefficient x of mat, dropping the zeros it gives.
+
+    p is x's eps parity (e + [r != c] + grade) mod 2 at entry (r, c) and
+    lam^e (module docstring), grade that of mat's key.
+    """
+    entries = (mat.a, mat.b, mat.c, mat.d)
+    return Mat2(
+        *(
+            LambdaSeries._raw({e: y for e, x in s.coeffs.items() if (y := fn(x, (e + off + grade) % 2))}, s.depth)
+            for off, s in zip((0, 1, 1, 0), entries)
+        )
     )
-
-
-def _mapped(mat: Mat2, fn) -> Mat2:
-    return mat.map_entries(lambda s: LambdaSeries._raw({e: fn(c) for e, c in s.coeffs.items()}, s.depth))
 
 
 def _shift_plus(mat: Mat2, b: int) -> Mat2:
@@ -209,9 +272,9 @@ def _run(key, spec, base, bracket, trim, memo) -> Mat2:
     EpsLaurent, packed-int or norm-int coefficients. spec(key) is None for
     the base (then base() builds it), else (b, terms): the matrix is the
     sum of w * bracket((lam^(b+1) X_j)_+, X_i) over the (w, j, i) in terms,
-    with trim (the eps cap, or None) applied to each coefficient. bracket
-    is Mat2.commutator, or for the norm pass the anticommutator, whose
-    terms are the commutator's with every sign dropped.
+    passed through trim(key, matrix), the eps cap, unless trim is None.
+    bracket is Mat2.commutator, or for the norm pass the anticommutator,
+    whose terms are the commutator's with every sign dropped.
     """
     got = memo.get(key)
     if got is not None:
@@ -228,7 +291,7 @@ def _run(key, spec, base, bracket, trim, memo) -> Mat2:
                 term = term * w
             got = term if got is None else got + term
         if trim is not None:
-            got = _trimmed(got, trim)
+            got = trim(key, got)
     memo[key] = got
     return got
 
@@ -277,17 +340,23 @@ class _Levels(NamedTuple):
     """Levels of one lookup at one (depth, cap), as exact packed integers.
 
     packed[key] is L**(k+1) times the true matrix of a key with k weights
-    (L = scale, from the scaled base), each eps-polynomial packed at eps =
-    2**width; norms[key] is the norm pass of the same key. Both hold every
+    (L = scale, from the scaled base), each eps-polynomial in graded form
+    at block width `width` (p1gw.eps), its parity given by its position
+    (grade); norms[key] is the norm pass of the same key. Both hold every
     key the lookup's key needs, and for a count vector every sub-key too,
     which the pair sum reads; width comes from their largest norm entry.
-    Nothing changes a record once it is built.
+    weights are the distinct weights of count-vector keys, or None for
+    weight listings. Nothing changes a record once it is built.
     """
 
     scale: int
     width: int
+    weights: tuple
     norms: MappingProxyType
     packed: MappingProxyType
+
+    def grade(self, key) -> int:
+        return _grade(self.weights, key)
 
 
 @lru_cache(maxsize=MEMO_FAMILIES)
@@ -319,19 +388,26 @@ def _levels(weights, key, depth, cap) -> _Levels:
     keys = [key] if weights is None else [s for _, s, _ in _splits(key)]
     for k in keys:
         _run(k, spec, norm_base, _anticommutator, None, norms)
-    width = pack_width(max(map(_largest, norms.values())))
-    trim = None if cap is None else packed_trim(width, cap)
+    width = graded_width(max(map(_largest, norms.values())))
+    trim = None
+    if cap is not None:
+        trims = (graded_trim(width, cap, 0), graded_trim(width, cap, 1))
+        trim = lambda k, mat: _graded(mat, _grade(weights, k), lambda x, p: trims[p](x))  # noqa: E731
     packed = {}
-    packed_base = lambda: _mapped(base, lambda row: pack(row, width))  # noqa: E731
+    # the base key has no weights, so grade 0; graded_pack raises on a row
+    # of the wrong parity
+    packed_base = lambda: _graded(base, 0, lambda row, p: graded_pack(row, width, p))  # noqa: E731
     for k in keys:
         _run(k, spec, packed_base, Mat2.commutator, trim, packed)
-    return _Levels(scale, width, MappingProxyType(norms), MappingProxyType(packed))
+    return _Levels(scale, width, weights, MappingProxyType(norms), MappingProxyType(packed))
 
 
 def _rational(levels: _Levels, key, k: int) -> Mat2:
     """The true matrix of a key with k weights, from its packed one."""
     denom = levels.scale ** (k + 1)
-    return _mapped(levels.packed[key], lambda x: from_packed(x, levels.width, denom))
+    return _graded(
+        levels.packed[key], levels.grade(key), lambda x, p: graded_from_packed(x, levels.width, p, denom)
+    )
 
 
 def _check_cap(eps_cap, least=0):
@@ -371,27 +447,31 @@ def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
     return (b + 1) * m + i + j + 2
 
 
-def _pair_sum(levels, key, hi, lo, read=lambda x: x):
+def _pair_sum(levels, key, hi, lo, grade, read=lambda x, p: x):
     """sum_s w_s sum_j (j + 1) tr(R_s[j - hi] R_{key-s}[-lo - 2 - j]).
 
     The outer sum runs over the splits (w_s, s, key - s) of the count
-    vector key (_splits). levels[s] is R_s and each coefficient read goes
-    through `read`. Levels have no positive powers, so j stops at hi. At a
+    vector key (_splits). levels[s] is R_s and each coefficient x read
+    goes through read(x, p), p its eps parity from grade(s) (module
+    docstring). Levels have no positive powers, so j stops at hi. At a
     depth within the budget every read is at or above its entry's validity
     floor (module docstring), so a missing coefficient is a true zero.
     """
     total = 0
     for w, s, rest in _splits(key):
         left, right = levels[s], levels[rest]
+        gl, gr = grade(s), grade(rest)
         acc = 0
-        # tr(XY) pairs the entries (a, a), (b, c), (c, b), (d, d)
-        for sl, sr in ((left.a, right.a), (left.b, right.c), (left.c, right.b), (left.d, right.d)):
+        # tr(XY) pairs the entries (a, a), (b, c), (c, b), (d, d); off is
+        # [r != c] for both of a pair
+        for off, sl, sr in ((0, left.a, right.a), (1, left.b, right.c), (1, left.c, right.b), (0, left.d, right.d)):
             for j in range(hi + 1):
                 x = sl.coeffs.get(j - hi)
                 if x:
                     y = sr.coeffs.get(-lo - 2 - j)
                     if y:
-                        acc += (j + 1) * read(x) * read(y)
+                        # -lo - 2 - j has the parity of lo + j
+                        acc += (j + 1) * read(x, (j - hi + off + gl) % 2) * read(y, (lo + j + off + gr) % 2)
         total += w * acc
     return total
 
@@ -404,13 +484,16 @@ def _extract(levels: _Levels, weights, key, i, j) -> EpsLaurent:
     # target index can always ride the expansion's deep variable
     # the sum has one more factor than the level of key: read its
     # coefficients at a width that its own norm bound proves
-    width = max(levels.width, pack_width(_pair_sum(levels.norms, key, hi, lo)))
-    raw = _pair_sum(levels.packed, key, hi, lo, lambda x: repack(x, levels.width, width))
+    width = max(levels.width, graded_width(_pair_sum(levels.norms, key, hi, lo, levels.grade)))
+    raw = _pair_sum(
+        levels.packed, key, hi, lo, levels.grade, lambda x, p: graded_repack(x, levels.width, width, p)
+    )
     m = sum(key)
     denom = levels.scale ** (m + 2) * factorial(i + 1) * factorial(j + 1)
     for w, c in zip(weights, key):
         denom *= factorial(w + 1) ** c
-    return from_packed(raw, width, denom, -(m + 2))
+    # every term has parity i + j + grade(key), m mod 2 for an even total weight
+    return graded_from_packed(raw, width, (i + j + levels.grade(key)) % 2, denom, -(m + 2))
 
 
 def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> EpsLaurent:

@@ -1,8 +1,22 @@
 """Rational primitives and the eps-Laurent coefficient type."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent, s_power
+from p1gw.eps import (
+    EPS_ONE,
+    EPS_ZERO,
+    EpsLaurent,
+    graded_from_packed,
+    graded_pack,
+    graded_repack,
+    graded_trim,
+    graded_unpack,
+    graded_width,
+    s_power,
+)
+from p1gw.errors import MalformedValue
 from p1gw.rational import (
     Rat,
     binomial,
@@ -109,3 +123,51 @@ def test_s_power_inverse_is_exact():
     # truncated product of S^3 and S^-3 is 1 through the common order
     for e in range(0, 11, 2):
         assert prod.coeff(e) == (Rat(1) if e == 0 else Rat(0))
+
+
+def _graded_poly(parity):
+    # coefficients indexed by eps exponent, zero at the other parity,
+    # trailing zeros stripped
+    def build(cs):
+        row = [0] * (2 * len(cs) + parity)
+        row[parity::2] = cs
+        while row and not row[-1]:
+            row.pop()
+        return row
+
+    return st.lists(st.integers(-(10**6), 10**6), max_size=6).map(build)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, 1), st.integers(0, 1), st.integers(0, 12), st.integers(0, 9))
+def test_graded_packing_is_an_exact_ring_map(data, pa, pb, cap, extra):
+    a, b = data.draw(_graded_poly(pa)), data.draw(_graded_poly(pb))
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    while prod and not prod[-1]:
+        prod.pop()
+    # the l1 norm bound of the product covers every coefficient in sight
+    bound = max(sum(map(abs, a)) * sum(map(abs, b)), sum(map(abs, a)), sum(map(abs, b)), 1)
+    width = graded_width(bound)
+    assert width % 2 == 0 and width >= bound.bit_length() + 2
+    xa, xb = graded_pack(a, width, pa), graded_pack(b, width, pb)
+    assert xa == sum(c * 2 ** (width // 2 * e) for e, c in enumerate(a))  # eps = 2**(width/2)
+    assert graded_unpack(xa, width, pa) == a
+    assert graded_unpack(xa * xb, width, pa ^ pb) == prod
+    kept = [c if e <= cap else 0 for e, c in enumerate(prod)]
+    while kept and not kept[-1]:
+        kept.pop()
+    assert graded_trim(width, cap, pa ^ pb)(xa * xb) == graded_pack(kept, width, pa ^ pb)
+    wider = width + 2 * extra
+    assert graded_repack(xa, width, wider, pa) == graded_pack(a, wider, pa)
+    assert graded_from_packed(xa, width, pa, 3, -2) == EpsLaurent({e - 2: Rat(c, 3) for e, c in enumerate(a)})
+
+
+def test_graded_pack_refuses_a_term_of_the_other_parity():
+    assert graded_pack([0, 5, 0, -1], 8, 1) == (5 + -1 * 2**8) << 4
+    with pytest.raises(MalformedValue, match="parity"):
+        graded_pack([1, 5], 8, 1)
+    with pytest.raises(MalformedValue, match="parity"):
+        graded_pack([1, 5], 8, 0)

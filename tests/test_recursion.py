@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from brute_force import windowed_extract
 from p1gw import recursion
 from p1gw.correlators import MAX_POINTS, STABILITY_STEP, n_point, two_point
-from p1gw.eps import EPS_ZERO, EpsLaurent, unpack
+from p1gw.eps import EPS_ZERO, EpsLaurent, graded_unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
 from p1gw.rational import Rat
 from p1gw.recursion import (
@@ -26,7 +26,7 @@ from p1gw.recursion import (
 )
 from p1gw import reference
 from p1gw.resolvent import resolvent_bundle
-from p1gw.series import Mat2
+from p1gw.series import LambdaSeries, Mat2
 
 
 def test_recursion_key_validation():
@@ -286,14 +286,23 @@ def test_direct_extraction_never_misreads_a_shallow_depth():
     assert raised
 
 
-def _rational_run(spec, key, depth, cap):
+def _rational_run(spec, key, depth, cap, memo=None):
     # reference: the same recursion body over the rational base matrix, with
-    # the eps cap applied to the base and to every level
+    # the eps cap applied to the base and to every level; memo, when given,
+    # receives every key the run computes
     base, trim = resolvent_bundle(depth).r, None
     if cap is not None:
-        trim = lambda c: EpsLaurent({e: v for e, v in c.terms.items() if e <= cap})  # noqa: E731
-        base = recursion._trimmed(base, trim)
-    return recursion._run(key, spec, lambda: base, Mat2.commutator, trim, {})
+
+        def trim(_key, mat):
+            return mat.map_entries(
+                lambda s: LambdaSeries(
+                    {e: EpsLaurent({k: v for k, v in c.terms.items() if k <= cap}) for e, c in s.coeffs.items()},
+                    s.depth,
+                )
+            )
+
+        base = trim((), base)
+    return recursion._run(key, spec, lambda: base, Mat2.commutator, trim, {} if memo is None else memo)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -351,17 +360,90 @@ def test_table_levels_packing_width_is_proven():
     fam = recursion._levels((b,), (n_max - 2,), depth, cap)
     entries = lambda mat: (mat.a, mat.b, mat.c, mat.d)  # noqa: E731
     bound = max(c for mat in fam.norms.values() for s in entries(mat) for c in s.coeffs.values())
-    assert bound and fam.width == bound.bit_length() + 2
+    # the least even width at or above pack_width(bound) = bound.bit_length() + 2
+    assert bound and fam.width % 2 == 0 and fam.width - bound.bit_length() in (2, 3)
     checked = 0
     for t in range(n_max - 1):
-        for packed, norms in zip(entries(fam.packed[(t,)]), entries(fam.norms[(t,)])):
+        grade = fam.grade((t,))
+        for off, packed, norms in zip((0, 1, 1, 0), entries(fam.packed[(t,)]), entries(fam.norms[(t,)])):
             for e, x in packed.coeffs.items():
-                coeffs = unpack(x, fam.width)
+                coeffs = graded_unpack(x, fam.width, (e + off + grade) % 2)
                 # each l1 norm is within its key's norm entry, so every
                 # coefficient is within the bound the width comes from
                 assert coeffs and sum(abs(c) for c in coeffs) <= norms.coeffs[e] <= bound
                 checked += 1
     assert checked > 900
+
+
+def _sum_w_plus_1(weights, key):
+    # sum(w + 1) over a key's weights: a listing, or a count vector over weights
+    if weights is None:
+        return sum(w + 1 for w in key)
+    return sum(c * (u + 1) for u, c in zip(weights, key))
+
+
+@pytest.mark.parametrize("depth", [8, 17, 28])
+@pytest.mark.parametrize("cap", [None, 9, 12])
+def test_rational_levels_follow_the_parity_rule(depth, cap):
+    # the rational recursion body, which packs nothing, puts at entry (r, c)
+    # and lam^e of a key only eps exponents of parity
+    # e + [r != c] + sum(w + 1) over the key's weights: graded packing
+    # reads every parity from this rule
+    cases = [
+        # rm_equal's count vectors (m,) over one weight b, every level up to m
+        ((1,), (3,)),
+        ((2,), (2,)),
+        ((3,), (1,)),
+        # the mixed-weight sub-keys that pair_correlator's levels hold
+        ((2, 1), (1, 1)),
+        ((3, 2), (1, 1)),
+        # r_family's weight listings
+        (None, (2, 1)),
+        (None, (1, 3)),
+    ]
+    odd = checked = 0
+    for weights, key in cases:
+        spec = recursion._subset_spec if weights is None else recursion._multiset_spec(weights)
+        subkeys = [key] if weights is None else [s for _, s, _ in recursion._splits(key)]
+        memo = {}
+        for k in subkeys:
+            _rational_run(spec, k, depth, cap, memo)
+        for k, mat in memo.items():
+            grade = _sum_w_plus_1(weights, k)
+            odd += grade % 2
+            for off, entry in zip((0, 1, 1, 0), (mat.a, mat.b, mat.c, mat.d)):
+                for e, c in entry.coeffs.items():
+                    assert {x % 2 for x in c.terms} == {(e + off + grade) % 2}, (weights, k, e, off)
+                    checked += 1
+    assert odd and checked > 300
+
+
+def test_graded_levels_are_half_the_plain_size():
+    # each packed coefficient holds one width-bit block per eps exponent of
+    # its parity up to the cap, and an odd one sits width/2 bits up: at most
+    # (cap + 2) * width / 2 bits, where the plain form needs (cap + 1) * width
+    cap = 26
+    fam = recursion._levels((1,), (10,), 24, cap)
+    limit = (cap + 2) * fam.width // 2
+    sizes = [
+        x.bit_length()
+        for mat in fam.packed.values()
+        for s in (mat.a, mat.b, mat.c, mat.d)
+        for x in s.coeffs.values()
+    ]
+    assert len(sizes) > 400 and max(sizes) <= limit
+
+
+def test_ungraded_base_refuses_to_pack():
+    # a base row with a term of the wrong parity raises instead of packing
+    # its blocks at the wrong exponents
+    bundle = resolvent_bundle(6)
+    r = bundle.r
+    # at entry (1, 1) and lam^-2 the base holds even eps powers only
+    bad = Mat2(r.a + LambdaSeries({-2: EpsLaurent({1: 1})}), r.b, r.c, r.d)
+    with mock.patch.object(recursion, "resolvent_bundle", return_value=mock.Mock(r=bad)):
+        with pytest.raises(MalformedValue, match="parity"):
+            recursion._levels.__wrapped__((1,), (1,), 6, None)
 
 
 def test_concurrent_callers_get_exact_levels():
