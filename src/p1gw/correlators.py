@@ -2,9 +2,12 @@
 
 Two engines here, by insertion count:
 
-  * one_point: closed evaluation through truncated powers of the core even
-    series (degree d contributes coefficient extraction from the (2d-1)-th
-    power, with d = 0 handled by the inverse series).
+  * one_point: closed evaluation through powers of the core even series
+    S: genus g, at degree d = (k + 2 - 2g) / 2, is [eps^(2g)] S**(2d-1)
+    / (d!)^2, read off the shared S-power table of p1gw.eps at
+    p = k + 1 - 2g (d = 0 gives p = -1, which the table serves like any
+    other p), so a call evaluates k/2 + 2 polynomials in p and raises no
+    series to a power.
   * two_point and n_point (2..8 insertions), the direct engine: cycle
     sums. For every arrangement of the variables around a cycle (last
     variable pinned, killing the cyclic redundancy), the trace of the
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .eps import EpsLaurent, EPS_ZERO, from_packed, pack, pack_width, s_power, scaled_rows
+from .eps import EpsLaurent, EPS_ZERO, from_packed, pack, pack_width, s_power_coeff, scaled_rows
 from .errors import (
     CancellationFailure,
     DepthExceeded,
@@ -100,7 +103,7 @@ def one_point(k: int) -> EpsLaurent:
     terms = {}
     for g in range(k // 2 + 2):
         d = (k + 2 - 2 * g) // 2
-        c = s_power(2 * d - 1, 2 * g).coeff(2 * g) / factorial(d) ** 2
+        c = s_power_coeff(2 * d - 1, g) / factorial(d) ** 2
         if c:
             terms[2 * g - 2] = c
     return EpsLaurent(terms)

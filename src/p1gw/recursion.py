@@ -85,7 +85,9 @@ is zero at any depth. correlator runs the nonzero indices at its own depth,
 whose budget counts the zeros too, so it is at or above theirs. Table row n
 is the pair (b, n - 2, b, b) with budget (b + 1)n; polygon_table runs at
 its deepest even-weight row's budget by default and raises
-UnstableExtraction below it.
+UnstableExtraction below it. A weight-0 table keeps that depth rule, but
+its rows read no level: row n is one_point(0) with n - 1 divisor factors,
+<tau_0^n>_{g,d} = d**(n-1) <tau_0>_{g,d}, so it has no insertion limit.
 
 Every eps exponent in sight is non-negative and the final normalization
 divides by a fixed eps power, so dropping eps exponents above a cap chosen
@@ -102,7 +104,13 @@ r_family / rm_equal calls keep full coefficients unless given a cap.
 Exact integer kernel. Both recursions and the extraction run on the graded
 packed form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
 proof and the graded form). The base is the resolvent at the given depth,
-eps-capped as it is scaled by L. Every term of the level of a key with k
+eps-capped as it is scaled by L. _scaled_base(depth, cap) builds the
+scaled integer base and its norm base once per (depth, cap), in a bounded
+LRU cache (64 entries), and every level lookup at that depth and cap
+shares them, as the cycle DP shares _scaled_table(depth): only the
+packing, whose width each lookup proves for itself, is per lookup. The
+shared base is never changed (the recursion body builds new series and
+matrices, never updates its inputs). Every term of the level of a key with k
 weights is a product of k + 1 base entries (the shift and the plus part
 never touch eps), so the packed level is L**(k+1) times the true one, and
 the extraction sum over m weights has m + 2 factors. The recursion body is
@@ -174,7 +182,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .correlators import MAX_POINTS, STABILITY_STEP, n_point, one_point, two_point
+from .correlators import STABILITY_STEP, _divisor, one_point
 from .eps import (
     EPS_ZERO,
     EpsLaurent,
@@ -359,6 +367,30 @@ class _Levels(NamedTuple):
         return _grade(self.weights, key)
 
 
+@lru_cache(maxsize=64)
+def _scaled_base(depth, cap):
+    """(L, base, norm base) of the resolvent at depth, eps-capped at cap.
+
+    base is L times the capped resolvent over integer coefficient rows
+    indexed by eps exponent (L the lcm of the kept denominators; a
+    coefficient the cap empties is dropped), the norm base holds each row's
+    l1 norm at depth INF. Every lookup at (depth, cap) shares them, so
+    nothing may change them.
+    """
+    r = resolvent_bundle(depth).r
+    entries = (r.a, r.b, r.c, r.d)
+    scale, rows = scaled_rows([c for s in entries for c in s.coeffs.values()], cap)
+    rows = iter(rows)
+    base = Mat2(
+        *(LambdaSeries._raw({e: row for e in s.coeffs if (row := next(rows))}, s.depth) for s in entries)
+    )
+    # at depth INF no validity floor drops a key
+    norm_base = base.map_entries(
+        lambda s: LambdaSeries._raw({e: sum(map(abs, row)) for e, row in s.coeffs.items()}, INF)
+    )
+    return scale, base, norm_base
+
+
 @lru_cache(maxsize=MEMO_FAMILIES)
 def _levels(weights, key, depth, cap) -> _Levels:
     """Levels that key needs: the count vector key over the distinct
@@ -369,25 +401,13 @@ def _levels(weights, key, depth, cap) -> _Levels:
     are equal and neither is ever changed, so no lock is needed.
     """
     spec = _subset_spec if weights is None else _multiset_spec(weights)
-    r = resolvent_bundle(depth).r
-    entries = (r.a, r.b, r.c, r.d)
-    scale, rows = scaled_rows([c for s in entries for c in s.coeffs.values()], cap)
-    rows = iter(rows)
-    # the eps-capped base over integer coefficient rows, L times the true
-    # one; a coefficient the cap empties is dropped
-    base = Mat2(
-        *(LambdaSeries._raw({e: row for e in s.coeffs if (row := next(rows))}, s.depth) for s in entries)
-    )
+    scale, base, norm_base = _scaled_base(depth, cap)
     norms = {}
-    # at depth INF no validity floor drops a key
-    norm_base = lambda: base.map_entries(  # noqa: E731
-        lambda s: LambdaSeries._raw({e: sum(map(abs, row)) for e, row in s.coeffs.items()}, INF)
-    )
     # a count vector's pair sum reads every sub-key, which its own
     # recursion need not reach once two weights differ
     keys = [key] if weights is None else [s for _, s, _ in _splits(key)]
     for k in keys:
-        _run(k, spec, norm_base, _anticommutator, None, norms)
+        _run(k, spec, lambda: norm_base, _anticommutator, None, norms)
     width = graded_width(max(map(_largest, norms.values())))
     trim = None
     if cap is not None:
@@ -570,11 +590,11 @@ def _table_rows(b, n_max, g_max, depth, cap, top):
         if (b * n) % 2:
             rows.append((ZERO,) * (g_max + 1))
             continue
-        if n == 1:
+        if b == 0:
+            # the divisor equation, n - 1 times: <tau_0^n>_{g,d} = d**(n-1) <tau_0>_{g,d}
+            series = _divisor(one_point(0), 0, n - 1)
+        elif n == 1:
             series = one_point(b)
-        elif b == 0:
-            # index-0 insertions run the cycle DP, whose budget for n of them is n <= depth
-            series = two_point(0, 0, depth) if n == 2 else n_point((0,) * n, depth)
         else:
             series = _extract(levels, (b,), (n - 2,), b, b)
         rows.append(tuple(series.coeff(2 * g - 2) for g in range(g_max + 1)))
@@ -595,9 +615,6 @@ def polygon_table(b: int, n_max: int, g_max=None, depth=None, stability: bool = 
         raise IndexOutOfRange(f"weight must be >= 0, got {b}")
     if n_max < 1:
         raise MalformedValue(f"need at least one row, got n_max={n_max}")
-    if b == 0 and n_max > MAX_POINTS:
-        # weight-0 rows run the cycle DP, which takes at most MAX_POINTS insertions
-        raise MalformedValue(f"weight-0 tables have at most {MAX_POINTS} rows, got n_max={n_max}")
     if g_max is None:
         g_max = max(b * n_max // 2, 0)
     if g_max < 0:

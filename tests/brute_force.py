@@ -13,6 +13,9 @@ avoid, so they are slow and share no arithmetic with the routes they check:
     narrow total-degree window, over rationals.
   * windowed_extract: the recursion's pair extraction as a windowed
     bivariate product of the lifted levels with 1/(lam1 - lam2)^2.
+  * s_power_squaring: S**p by series inversion (for p < 0) and repeated
+    squaring of truncated coefficient lists, where p1gw.eps reads S**p off
+    Miller's power recurrence.
 
 MultiSeries and inv_diff_expand are the multivariate ring they share.
 """
@@ -23,7 +26,7 @@ from math import comb, factorial, lcm
 from p1gw.correlators import default_depth
 from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from p1gw.errors import DepthExceeded, MalformedValue
-from p1gw.rational import Rat, binomial
+from p1gw.rational import ONE, ZERO, Rat, binomial
 from p1gw.recursion import rm_equal
 from p1gw.resolvent import resolvent_bundle
 from p1gw.series import INF, LambdaSeries, Mat2
@@ -442,3 +445,48 @@ def two_point_product(k1, k2, depth=None) -> EpsLaurent:
     prod = tr.mul(inv, window=(t_total, t_total + max(k1, k2) + 4))
     raw = prod.coeff((-k1 - 2, -k2 - 2))
     return raw.shift(-2) / (factorial(k1 + 1) * factorial(k2 + 1))
+
+
+def _conv_trunc(a, b, m_top):
+    """Truncated convolution of coefficient lists (index = eps^(2m))."""
+    out = [ZERO] * (m_top + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        lim = m_top - i
+        for j in range(min(lim, len(b) - 1) + 1):
+            bj = b[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def s_power_squaring(p: int, order: int) -> EpsLaurent:
+    """S**p truncated to eps order `order` (inclusive), as an EpsLaurent.
+
+    S is even, so only even exponents appear; `order` must be even and >= 0.
+    Negative p goes through exact series inversion first (valid since the
+    constant term of S is 1).
+    """
+    if order < 0 or order % 2:
+        raise ValueError(f"truncation order must be even and >= 0, got {order}")
+    m_top = order // 2
+    base = [ONE / (4**m * factorial(2 * m + 1)) for m in range(m_top + 1)]
+    if p < 0:
+        inv = [ONE] + [ZERO] * m_top
+        for m in range(1, m_top + 1):
+            acc = ZERO
+            for k in range(1, m + 1):
+                acc = acc + base[k] * inv[m - k]
+            inv[m] = -acc
+        base = inv
+        p = -p
+    result = [ONE] + [ZERO] * m_top
+    sq = base
+    while p:
+        if p & 1:
+            result = _conv_trunc(result, sq, m_top)
+        p >>= 1
+        if p:
+            sq = _conv_trunc(sq, sq, m_top)
+    return EpsLaurent({2 * m: c for m, c in enumerate(result)})

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import n_point_product, two_point_product
-from p1gw import correlators, recursion
+from brute_force import n_point_product, s_power_squaring, two_point_product
+from p1gw import correlators, eps, recursion
 from p1gw.correlators import (
     correlator,
     default_depth,
@@ -36,6 +36,32 @@ def test_one_point_matches_frozen_heads(k):
     head = reference.one_point_head(k)
     scaled = (one_point(k) * factorial(k + 1)).shift(1)
     assert dict(scaled.terms) == head
+
+
+def _one_point_squaring(k):
+    # the one-point formula over the repeated-squaring oracle for S**p
+    terms = {}
+    for g in range(k // 2 + 2):
+        d = (k + 2 - 2 * g) // 2
+        terms[2 * g - 2] = s_power_squaring(2 * d - 1, 2 * g).coeff(2 * g) / factorial(d) ** 2
+    return EpsLaurent(terms)
+
+
+def test_one_point_matches_the_squaring_oracle():
+    for k in range(61):
+        got = one_point(k)
+        if k % 2:
+            assert got == EPS_ZERO, k
+        else:
+            assert got == _one_point_squaring(k), k
+
+
+def test_one_point_from_a_fresh_table_equals_warm():
+    ks = (0, 2, 14, 38)
+    warm = [one_point(k) for k in ks]
+    with mock.patch.object(eps, "_S_POWERS", ((1, (1,)),)):
+        fresh = [one_point(k) for k in ks]
+    assert fresh == warm
 
 
 def test_one_point_odd_vanishes_and_validates():

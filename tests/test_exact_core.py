@@ -1,9 +1,13 @@
 """Rational primitives and the eps-Laurent coefficient type."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import s_power_squaring
+from p1gw import eps
 from p1gw.eps import (
     EPS_ONE,
     EPS_ZERO,
@@ -123,6 +127,26 @@ def test_s_power_inverse_is_exact():
     # truncated product of S^3 and S^-3 is 1 through the common order
     for e in range(0, 11, 2):
         assert prod.coeff(e) == (Rat(1) if e == 0 else Rat(0))
+
+
+def test_s_power_matches_repeated_squaring():
+    # Miller's recurrence over Q[p] against inversion and repeated squaring
+    for p in range(-9, 10):
+        for order in range(0, 21, 2):
+            assert s_power(p, order) == s_power_squaring(p, order), (p, order)
+
+
+def test_s_power_table_fresh_equals_warm():
+    warm = [s_power(p, 16) for p in (-7, -1, 0, 3, 11)]
+    with mock.patch.object(eps, "_S_POWERS", ((1, (1,)),)):
+        fresh = [s_power(p, 16) for p in (-7, -1, 0, 3, 11)]
+        # the table grows only to the order asked for
+        assert len(eps._S_POWERS) == 9
+        assert s_power(5, 4) == s_power_squaring(5, 4)
+        assert len(eps._S_POWERS) == 9
+    assert fresh == warm
+    with pytest.raises(ValueError):
+        s_power(2, 3)
 
 
 def _graded_poly(parity):

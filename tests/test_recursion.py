@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import windowed_extract
-from p1gw import recursion
-from p1gw.correlators import MAX_POINTS, STABILITY_STEP, n_point, two_point
+from p1gw import correlators, recursion
+from p1gw.correlators import MAX_POINTS, STABILITY_STEP, correlator, n_point, two_point
 from p1gw.eps import EPS_ZERO, EpsLaurent, graded_unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
 from p1gw.rational import Rat
@@ -182,13 +182,20 @@ def test_polygon_table_weight_zero_routes():
     tab = polygon_table(0, 4)
     assert tab.g_max == 0
     assert all(tab.cell(n, 0) == 1 for n in range(1, 5))
-    # the rows run the cycle DP at the table's depth, so its budget applies
+    # the table keeps its depth rule: the budget n_max, and below it raises
     assert tab.depth_used == 4
-    with mock.patch.object(recursion, "n_point", wraps=n_point) as spy:
-        polygon_table(0, 4, depth=9)
-    assert [c.args for c in spy.call_args_list] == [((0,) * 3, 9), ((0,) * 4, 9)]
     with pytest.raises(UnstableExtraction):
         polygon_table(0, 4, depth=3)
+    # row n is one_point(0) with n - 1 divisor factors; no cycle DP runs
+    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+        tab = polygon_table(0, 12, g_max=2, depth=15)
+    assert tab.depth_used == 15 and not tab.stability_verified
+    assert tab.rows[0] == (1, Rat(-1, 24), 0)
+    assert all(tab.rows[n - 1] == (1, 0, 0) for n in range(2, 13))
+    # rows n <= 8 are the cycle DP's values, the route they took before
+    for n in range(2, MAX_POINTS + 1):
+        direct = two_point(0, 0, 8) if n == 2 else n_point((0,) * n, 8)
+        assert tab.rows[n - 1] == tuple(direct.coeff(2 * g - 2) for g in range(3)), n
 
 
 def test_polygon_table_bounds_and_validation():
@@ -201,10 +208,9 @@ def test_polygon_table_bounds_and_validation():
         polygon_table(-1, 3)
     with pytest.raises(MalformedValue):
         polygon_table(1, 0)
-    # weight-0 rows beyond the cycle DP's insertion limit are refused up front
-    with mock.patch.object(recursion, "n_point", side_effect=AssertionError):
-        with pytest.raises(MalformedValue, match=f"at most {MAX_POINTS} rows"):
-            polygon_table(0, MAX_POINTS + 1)
+    # weight-0 rows need no cycle DP, so its insertion limit does not bound them
+    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+        assert polygon_table(0, MAX_POINTS + 1).rows == ((1,),) * (MAX_POINTS + 1)
     assert isinstance(tab, PolygonTable)
 
 
@@ -441,9 +447,30 @@ def test_ungraded_base_refuses_to_pack():
     r = bundle.r
     # at entry (1, 1) and lam^-2 the base holds even eps powers only
     bad = Mat2(r.a + LambdaSeries({-2: EpsLaurent({1: 1})}), r.b, r.c, r.d)
-    with mock.patch.object(recursion, "resolvent_bundle", return_value=mock.Mock(r=bad)):
-        with pytest.raises(MalformedValue, match="parity"):
-            recursion._levels.__wrapped__((1,), (1,), 6, None)
+    # the scaled base is shared per (depth, cap): build it afresh from the
+    # bad bundle, and never leave the bad one cached for later lookups
+    recursion._scaled_base.cache_clear()
+    try:
+        with mock.patch.object(recursion, "resolvent_bundle", return_value=mock.Mock(r=bad)):
+            with pytest.raises(MalformedValue, match="parity"):
+                recursion._levels.__wrapped__((1,), (1,), 6, None)
+    finally:
+        recursion._scaled_base.cache_clear()
+
+
+def test_lookups_share_one_scaled_base_per_depth_and_cap():
+    recursion._scaled_base.cache_clear()
+    recursion._levels.cache_clear()
+    # two level lookups each (pairs (4, 4) and (6, 4) over the weights (4,)
+    # and (2,)) at the default depth 18 with cap = budget 15, and at the
+    # stability rerun's depth 22; one scaled base per (depth, cap)
+    correlator((4, 4, 4))
+    correlator((6, 4, 2))
+    assert recursion._levels.cache_info().misses == 4
+    assert recursion._scaled_base.cache_info().misses == 2
+    six = correlator((6, 6)).value
+    assert six == EpsLaurent(dict(reference.flagship_series())[(6, 6)])
+    assert six == two_point(6, 6)
 
 
 def test_concurrent_callers_get_exact_levels():
