@@ -8,6 +8,12 @@ tables; two_point and n_point evaluate one cycle-sum dynamic program over
 traces of resolvent products; and an independent oracle layer (closed product and
 binomial-sum formulas, generating-function identities, large-genus
 asymptotics) cross-checks everything it can reach.
+
+Only the oracle layer (p1gw.oracles and the frozen tables of
+p1gw.reference) loads on first use, through the module __getattr__: no
+engine imports it, so a process that only computes never pays for it.
+The engines load with the package, so that the cost of importing them
+falls on `import p1gw` and never on the first call a caller times.
 """
 
 from .correlators import (
@@ -28,18 +34,6 @@ from .errors import (
     MalformedValue,
     P1GWError,
     UnstableExtraction,
-)
-from .oracles import (
-    asymptotic_constant,
-    asymptotic_ratio,
-    asymptotic_report,
-    c2m,
-    degree_one,
-    hurwitz,
-    identity_check,
-    trace_det_check,
-    two_point_tau0_closed,
-    two_point_tau1_closed,
 )
 from .rational import Rat, rat_from_str, rat_str
 from .recursion import (
@@ -97,3 +91,35 @@ __all__ = [
     "two_point_tau1_closed",
     "__version__",
 ]
+
+# the oracle layer's public names, bound on first access by __getattr__
+_ORACLE_NAMES = frozenset({
+    "asymptotic_constant",
+    "asymptotic_ratio",
+    "asymptotic_report",
+    "c2m",
+    "degree_one",
+    "hurwitz",
+    "identity_check",
+    "trace_det_check",
+    "two_point_tau0_closed",
+    "two_point_tau1_closed",
+})
+_LAZY_MODULES = ("oracles", "reference")
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _ORACLE_NAMES:
+        value = getattr(import_module(".oracles", __name__), name)
+    elif name in _LAZY_MODULES:
+        value = import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_LAZY_MODULES))

@@ -7,7 +7,7 @@ computation failure, 2 unstable extraction, 3 usage error.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .correlators import MAX_POINTS, correlator
 from .errors import (
@@ -16,7 +16,6 @@ from .errors import (
     P1GWError,
     UnstableExtraction,
 )
-from .oracles import asymptotic_report, VERIFY_SUITES
 from .rational import decimal_str, rat_str
 from .recursion import polygon_table
 from .render import FORMATS, eps_poly_str, eps_series_obj, render_rows, to_json
@@ -39,8 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     depth_override: object = None
     stability: bool = True
     format: str = "json"
@@ -150,11 +148,25 @@ def cmd_hurwitz(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# The oracle layer loads only in the two subcommands that read it, so that
+# every other command skips its import. These are the names of its
+# VERIFY_SUITES, sorted; cli.VERIFY_SUITES resolves to that same dict.
+VERIFY_SUITE_NAMES = ("degree1", "determinant", "identities", "stability", "tables")
 # the verify suites that read a depth, with their default depths
 VERIFY_DEPTHS = {"identities": 12, "determinant": 20}
 
 
+def __getattr__(name):
+    if name == "VERIFY_SUITES":
+        from .oracles import VERIFY_SUITES
+
+        return VERIFY_SUITES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from .oracles import VERIFY_SUITES
+
     suite = VERIFY_SUITES[args.suite]
     if args.suite in VERIFY_DEPTHS:
         report = suite(cfg.depth_override or VERIFY_DEPTHS[args.suite])
@@ -168,6 +180,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_asymptotics(args, cfg: RunConfig) -> int:
+    from .oracles import asymptotic_report
+
     rep = asymptotic_report(args.k, args.d, args.g_max)
     payload = {
         "k": rep.k,
@@ -232,7 +246,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=cmd_hurwitz)
 
     sp = sub.add_parser("verify", help="run one bundled verification suite")
-    sp.add_argument("suite", choices=sorted(VERIFY_SUITES))
+    sp.add_argument("suite", choices=VERIFY_SUITE_NAMES)
     _add_common(sp, stability=False)
     sp.set_defaults(handler=cmd_verify)
 

@@ -58,7 +58,6 @@ the cycle DP on the same ints, so they give the same numbers at the same
 speed there.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -427,8 +426,7 @@ def stability_check(ks, lo_depth: int, hi_depth: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CorrelatorRecord:
+class CorrelatorRecord(NamedTuple):
     insertions: tuple
     value: EpsLaurent
     by_genus: tuple

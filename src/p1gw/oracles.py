@@ -14,7 +14,7 @@ All values are exact rationals.  Decimals appear only in display strings,
 rendered by integer long division, never through floats.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .correlators import default_depth, n_point, one_point, stability_check, two_point
 from .eps import EPS_ONE, EPS_ZERO, EpsLaurent
@@ -178,8 +178,7 @@ IDENTITIES = {
 IDENTITY_IDS = tuple(sorted(IDENTITIES))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     ident: str
     depth: int
     coefficients_checked: int
@@ -232,8 +231,7 @@ def identity_check(ident: str, depth: int = 12) -> IdentityReport:
     return IdentityReport(ident, depth, checked)
 
 
-@dataclass(frozen=True)
-class TraceDetReport:
+class TraceDetReport(NamedTuple):
     depth: int
     coefficients_checked: int
 
@@ -298,8 +296,7 @@ def asymptotic_ratio(k: int, g: int, d: int):
     return factorial(2 * g + 2 * d - k - 1) * v / Rat(2 * d - 1, 2) ** (2 * g)
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     k: int
     d: int
     limit: object

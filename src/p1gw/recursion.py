@@ -176,7 +176,6 @@ use as the reference. Both rational backends run the recursion on the same
 ints, so the tables cost the same on both.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -207,18 +206,19 @@ MAX_KEY = 6
 MEMO_FAMILIES = 8
 
 
-@dataclass(frozen=True)
-class RecursionKey:
-    """Ordered index set with one positive weight per index."""
-
+class _KeyFields(NamedTuple):
     b_values: tuple
     indices: tuple
 
-    def __post_init__(self):
-        bs = tuple(int(b) for b in self.b_values)
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "b_values", bs)
-        object.__setattr__(self, "indices", idx)
+
+class RecursionKey(_KeyFields):
+    """Ordered index set with one positive weight per index."""
+
+    __slots__ = ()
+
+    def __new__(cls, b_values, indices):
+        bs = tuple(int(b) for b in b_values)
+        idx = tuple(int(i) for i in indices)
         if len(bs) != len(idx):
             raise MalformedValue("weights and indices must pair up")
         if len(idx) != len(set(idx)):
@@ -229,6 +229,12 @@ class RecursionKey:
             raise IndexOutOfRange("weights must be >= 1")
         if len(bs) > MAX_KEY:
             raise MalformedValue(f"at most {MAX_KEY} indices supported")
+        return super().__new__(cls, bs, idx)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*iterable)
 
 
 def _as_weights(key):
@@ -568,8 +574,7 @@ def pair_correlator(ks, depth=None) -> EpsLaurent:
     return _extract(_levels(weights, key, depth, budget), weights, key, i, j)
 
 
-@dataclass(frozen=True)
-class PolygonTable:
+class PolygonTable(NamedTuple):
     b: int
     g_max: int
     rows: tuple  # rows[n - 1][g] is the (n, g) cell

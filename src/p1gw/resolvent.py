@@ -20,8 +20,8 @@ Everything else (correlators, recursions, oracles) consumes the bundle
 built here.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .eps import EpsLaurent, EPS_ZERO, EPS_ONE
 from .errors import IdentityViolation
@@ -105,8 +105,7 @@ def q_series(depth: int) -> LambdaSeries:
     return LambdaSeries._raw(d, depth)
 
 
-@dataclass(frozen=True)
-class ResolventBundle:
+class ResolventBundle(NamedTuple):
     alpha: LambdaSeries
     p: LambdaSeries
     q: LambdaSeries

@@ -1,0 +1,153 @@
+"""The package surface: what `import p1gw` loads, its public names and its
+result records."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import p1gw
+from p1gw import cli, oracles
+from p1gw.correlators import CorrelatorRecord, correlator
+from p1gw.errors import IndexOutOfRange, MalformedValue
+from p1gw.oracles import AsymptoticReport, IdentityReport, TraceDetReport
+from p1gw.recursion import PolygonTable, RecursionKey, polygon_table
+from p1gw.resolvent import ResolventBundle, resolvent_bundle
+
+SRC = str(Path(p1gw.__file__).resolve().parent.parent)
+
+
+def _python(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+# ------------------------------------------------------------ import footprint
+
+
+def test_import_loads_the_engines_and_not_the_oracle_layer():
+    probe = ("import sys, p1gw; print(' '.join(m for m in ('dataclasses', 'inspect', "
+             "'p1gw.oracles', 'p1gw.reference', 'p1gw.correlators', 'p1gw.recursion') "
+             "if m in sys.modules))")
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["p1gw.correlators", "p1gw.recursion"]
+
+
+def test_cli_process_exit_codes_and_imports():
+    assert _python("-m", "p1gw.cli", "frobnicate").returncode == 3
+    # -X importtime names every module the process imports on stderr
+    proc = _python("-X", "importtime", "-m", "p1gw.cli", "correlator", "2", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["insertions"] == [2, 2]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "p1gw.recursion" in imported
+    assert not imported & {"p1gw.oracles", "p1gw.reference", "dataclasses"}
+
+
+# ------------------------------------------------------------ public surface
+
+
+def test_every_public_name_resolves():
+    for name in p1gw.__all__:
+        assert getattr(p1gw, name) is not None, name
+    assert p1gw.degree_one is oracles.degree_one
+    assert p1gw.oracles is oracles
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from p1gw import *", namespace)
+    assert set(p1gw.__all__) <= set(namespace)
+    assert namespace["asymptotic_report"] is oracles.asymptotic_report
+
+
+def test_dir_lists_every_public_name():
+    assert set(p1gw.__all__) <= set(dir(p1gw))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        p1gw.no_such_name
+    with pytest.raises(AttributeError):
+        cli.NO_SUCH_NAME
+    with pytest.raises(ImportError):
+        exec("from p1gw import no_such_name", {})
+
+
+def test_cli_verify_suites_are_the_oracle_suites():
+    assert cli.VERIFY_SUITES is oracles.VERIFY_SUITES
+    assert cli.VERIFY_SUITE_NAMES == tuple(sorted(oracles.VERIFY_SUITES))
+
+
+# ------------------------------------------------------------ result records
+
+# field order of each record as it was when the records were dataclasses
+RECORD_FIELDS = {
+    CorrelatorRecord: ("insertions", "value", "by_genus", "depth_used", "stability_verified"),
+    RecursionKey: ("b_values", "indices"),
+    PolygonTable: ("b", "g_max", "rows", "depth_used", "stability_verified"),
+    ResolventBundle: ("alpha", "p", "q", "beta", "gamma", "r", "depth"),
+    IdentityReport: ("ident", "depth", "coefficients_checked"),
+    TraceDetReport: ("depth", "coefficients_checked"),
+    AsymptoticReport: ("k", "d", "limit", "limit_decimal", "rows"),
+    cli.RunConfig: ("depth_override", "stability", "format"),
+}
+
+
+def _records():
+    return [
+        correlator((2, 2)),
+        RecursionKey((1, 2), (3, 5)),
+        polygon_table(1, 4),
+        resolvent_bundle(4),
+        oracles.identity_check("I1", 4),
+        oracles.trace_det_check(4),
+        oracles.asymptotic_report(0, 2, 2),
+        cli.RunConfig(),
+    ]
+
+
+def test_record_fields_keep_the_dataclass_order():
+    for rec in _records():
+        assert type(rec)._fields == RECORD_FIELDS[type(rec)]
+    assert cli.RunConfig() == (None, True, "json")
+
+
+def test_records_are_immutable():
+    for rec in _records():
+        with pytest.raises(AttributeError):
+            setattr(rec, type(rec)._fields[0], None)
+        with pytest.raises(AttributeError):
+            rec.extra = None
+
+
+def test_record_repr_names_its_fields():
+    assert repr(RecursionKey((1, 2), (3, 5))) == "RecursionKey(b_values=(1, 2), indices=(3, 5))"
+    assert repr(cli.RunConfig(8)) == "RunConfig(depth_override=8, stability=True, format='json')"
+    for rec in _records():
+        assert repr(rec).startswith(f"{type(rec).__name__}({type(rec)._fields[0]}=")
+
+
+def test_recursion_key_normalises_and_validates():
+    key = RecursionKey([1.0, 2], range(3, 5))
+    assert key == ((1, 2), (3, 4))
+    assert type(key.b_values[0]) is int
+    assert key._replace(b_values=[5, 6]).b_values == (5, 6)
+    with pytest.raises(MalformedValue):
+        key._replace(indices=(3, 3))
+    with pytest.raises(IndexOutOfRange):
+        key._replace(b_values=(0, 1))
+
+
+def test_polygon_table_cell_checks_its_range():
+    tab = polygon_table(1, 4)
+    assert tab.cell(2, 0) == tab.rows[1][0]
+    for n, g in ((0, 0), (5, 0), (1, -1), (1, tab.g_max + 1)):
+        with pytest.raises(MalformedValue):
+            tab.cell(n, g)
