@@ -38,7 +38,6 @@ from .errors import (
 from .rational import Rat, rat_from_str, rat_str
 from .recursion import (
     PolygonTable,
-    RecursionKey,
     extract_bij,
     polygon_table,
     r_family,
@@ -62,7 +61,6 @@ __all__ = [
     "P1GWError",
     "PolygonTable",
     "Rat",
-    "RecursionKey",
     "ResolventBundle",
     "UnstableExtraction",
     "asymptotic_constant",

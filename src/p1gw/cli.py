@@ -9,7 +9,7 @@ import argparse
 import sys
 from typing import NamedTuple
 
-from .correlators import MAX_POINTS, correlator
+from .correlators import correlator
 from .errors import (
     IndexOutOfRange,
     MalformedValue,
@@ -70,10 +70,7 @@ def _emit(payload, headers, rows, cfg, trailer=None):
 
 
 def cmd_correlator(args, cfg: RunConfig) -> int:
-    ks = tuple(args.k)
-    if not 1 <= len(ks) <= MAX_POINTS:
-        raise CliUsageError(f"need 1 to {MAX_POINTS} insertions, got {len(ks)}")
-    rec = correlator(ks, depth=cfg.depth_override, stability=cfg.stability)
+    rec = correlator(tuple(args.k), depth=cfg.depth_override, stability=cfg.stability)
     payload = {
         "insertions": list(rec.insertions),
         "eps_series": eps_series_obj(rec.value),

@@ -108,19 +108,6 @@ def one_point(k: int) -> EpsLaurent:
     return EpsLaurent(terms)
 
 
-class _Ring(NamedTuple):
-    """Scalars of one cycle DP run: its zero, its one, and whether signs count."""
-
-    zero: object
-    one: object
-    signed: bool
-
-
-# exact integers (the packed table) and their unsigned norm bound
-_PACKED = _Ring(0, 1, True)
-_NORM = _Ring(0, 1, False)
-
-
 def _mm(x, y):
     a, b, c, d = x
     e, f, g, h = y
@@ -148,7 +135,7 @@ def _trace_prod3(a, p, b):
     return a[0] * pb[0] + a[1] * pb[2] + a[2] * pb[1] + a[3] * pb[3]
 
 
-def _cycle_seed_sum(targets, depth, mats, f, ring):
+def _cycle_seed_sum(targets, depth, mats, f, signed):
     """DP over cycle arrangements starting at variable f (last pinned).
 
     State key after placing t variables: (mask, cur, w1, pend) where w1 is
@@ -156,12 +143,12 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
     closes) and pend is the exponent the newest edge dropped on cur. The
     matrix value accumulates resolvent coefficient products of the interior
     variables over every arrangement sharing the state, signs folded in.
-    `mats` maps lam-exponent to an (a, b, c, d) tuple of ring elements; an
-    unsigned ring drops every sign and so sums the terms' magnitudes.
+    `mats` maps lam-exponent to an (a, b, c, d) tuple of integers: the
+    packed table with signed true, or its norms with signed false, which
+    drops every sign and so sums the terms' magnitudes.
     Raises DepthExceeded when depth is below the spend budget.
     """
-    zero = ring.zero
-    neg4 = _neg4 if ring.signed else _same
+    neg4 = _neg4 if signed else _same
     n = len(targets)
     last = n - 1
     t_first = targets[f]
@@ -169,13 +156,13 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
     sum_all = sum(targets)
     budget = -(sum_all + n)
     if budget < 0:
-        return zero
+        return 0
     if depth < budget:
         raise DepthExceeded(-budget, depth, "cycle sum")
     kmax = max(0, max(-t - 2 for t in targets))
     jcap = budget + kmax + 2
 
-    frontier = {(1 << f, f, 0, 0): (ring.one, zero, zero, ring.one)}
+    frontier = {(1 << f, f, 0, 0): (1, 0, 0, 1)}
     for step in range(1, n):
         first_step = step == 1
         newf = {}
@@ -220,7 +207,7 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
                             )
         frontier = newf
 
-    total = zero
+    total = 0
     for (mask, cur, w1, pend), p_mat in frontier.items():
         # closing edge drops +jn on last and -jn-1 on first, sign -1; the
         # range keeps both factors at exponents <= 0
@@ -228,7 +215,7 @@ def _cycle_seed_sum(targets, depth, mats, f, ring):
             e_last = t_last - pend - jn
             e_first = t_first - w1 + jn + 1
             total = total + _trace_prod3(mats[e_first], p_mat, mats[e_last])
-    return -total if ring.signed else total
+    return -total if signed else total
 
 
 def _masked_sum(targets, mask):
@@ -257,9 +244,8 @@ def _scaled_table(depth: int):
     return scale, coeffs, norms
 
 
-def _seed_total(targets, depth, mats, ring):
-    seeds = range(len(targets) - 1)
-    return sum((_cycle_seed_sum(targets, depth, mats, f, ring) for f in seeds), ring.zero)
+def _seed_total(targets, depth, mats, signed):
+    return sum(_cycle_seed_sum(targets, depth, mats, f, signed) for f in range(len(targets) - 1))
 
 
 class _PackedSum(NamedTuple):
@@ -272,12 +258,12 @@ class _PackedSum(NamedTuple):
 def _packed_cycle_sum(targets, depth: int) -> _PackedSum:
     scale, coeffs, norms = _scaled_table(depth)
     denom = scale ** len(targets)
-    bound = _seed_total(targets, depth, norms, _NORM)
+    bound = _seed_total(targets, depth, norms, False)
     width = pack_width(bound)
     if not bound:
         return _PackedSum(0, width, bound, denom)
     mats = {e: tuple(pack(row, width) for row in quad) for e, quad in coeffs.items()}
-    packed = _seed_total(targets, depth, mats, _PACKED)
+    packed = _seed_total(targets, depth, mats, True)
     return _PackedSum(packed, width, bound, denom)
 
 
@@ -409,20 +395,27 @@ def _served(ks, depth: int) -> EpsLaurent:
     return _divisor(value, sum(ks), zeros)
 
 
-def stability_check(ks, lo_depth: int, hi_depth: int) -> bool:
-    """Recompute at two depths along correlator()'s route; any disagreement
-    is an unstable extraction."""
-    ks = tuple(sorted(_validate_ks(ks), reverse=True))
+def _stable(ks, lo_depth: int, hi_depth, show_values: bool) -> EpsLaurent:
+    """_served(ks, lo_depth), compared with _served(ks, hi_depth) unless
+    hi_depth is None. A disagreement, or a depth below the budget, is an
+    unstable extraction; show_values puts both values in its message."""
     try:
         lo = _served(ks, lo_depth)
+        if hi_depth is None:
+            return lo
         hi = _served(ks, hi_depth)
     except DepthExceeded as err:
         raise _too_shallow(ks, err) from err
     if lo != hi:
-        raise UnstableExtraction(
-            f"correlator {ks} changed between depths {lo_depth} and {hi_depth}: "
-            f"{lo!r} vs {hi!r}"
-        )
+        msg = f"correlator {ks} changed between depths {lo_depth} and {hi_depth}"
+        raise UnstableExtraction(f"{msg}: {lo!r} vs {hi!r}" if show_values else msg)
+    return lo
+
+
+def stability_check(ks, lo_depth: int, hi_depth: int) -> bool:
+    """Recompute at two depths along correlator()'s route; any disagreement
+    is an unstable extraction."""
+    _stable(tuple(sorted(_validate_ks(ks), reverse=True)), lo_depth, hi_depth, True)
     return True
 
 
@@ -447,14 +440,5 @@ def correlator(ks, depth=None, stability: bool = True) -> CorrelatorRecord:
     d = default_depth(ks) if depth is None else depth
     if sum(ks) % 2:
         return CorrelatorRecord(ks, EPS_ZERO, split_by_genus(EPS_ZERO, ks), d, stability)
-    try:
-        value = _served(ks, d)
-        if stability and len(ks) >= 2:
-            deeper = _served(ks, d + STABILITY_STEP)
-            if deeper != value:
-                raise UnstableExtraction(
-                    f"correlator {ks} changed between depths {d} and {d + STABILITY_STEP}"
-                )
-    except DepthExceeded as err:
-        raise _too_shallow(ks, err) from err
+    value = _stable(ks, d, d + STABILITY_STEP if stability and len(ks) >= 2 else None, False)
     return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, stability)

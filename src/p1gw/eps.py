@@ -154,7 +154,10 @@ class EpsLaurent:
 
     def __add__(self, other):
         if not isinstance(other, EpsLaurent):
-            return NotImplemented
+            # a scalar is a constant, as in __mul__
+            if not isinstance(other, (int, Rat)):
+                return NotImplemented
+            other = EpsLaurent.const(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -171,6 +174,8 @@ class EpsLaurent:
                 else:
                     del d[e]
         return EpsLaurent._raw(d)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, EpsLaurent):

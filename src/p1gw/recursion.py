@@ -1,11 +1,11 @@
 """Commutator recursion over resolvent matrices and pairwise extraction.
 
-The family is indexed by a finite list of positive insertion indices, each
-carrying a positive weight b. The empty list gives the resolvent itself;
-removing the first listed index k1 and splitting the remainder into an
-ordered pair of disjoint sublists (I, J) gives
+The family is indexed by a finite list K of positive weights. The empty
+list gives the resolvent itself; removing the first listed weight b1 and
+splitting the remainder into an ordered pair of disjoint sublists (I, J)
+gives
 
-    R_K = sum over I | J of [(lam^{b(k1)+1} R_J)_+, R_I]
+    R_K = sum over I | J of [(lam^{b1+1} R_J)_+, R_I]
 
 the commutator with the polynomial part of the weight-(b+1) shift acting as
 the flow generator. The shift exponent b+1 and the bracket order are pinned
@@ -14,21 +14,23 @@ the double trace sum lands on the wrong parity diagonal and misses every
 admissible slot (the joint eps/lambda parity grading of the resolvent makes
 that failure structural, not a small error).
 
-Multiset split. R_K depends only on the multiset of weights, not on their
-listing order: acceptance criterion c09 checks this on r_family, which
-keeps the listing recursion above (and recomputes each permuted listing)
-so that the check compares two different computations. That
-order-independence is what lets a key be a count vector c over the
-distinct weights u_1..u_r, with c_v copies of u_v. Remove one copy of the
-first weight u present; the 2^k sublist pairs of the rest r fall into one
-class per count vector s <= r, of prod_v C(r_v, s_v) equal terms:
+Multiset split. Every key is a count vector c over a tuple of weights
+u_1..u_r, with c_v copies of u_v. Remove one copy of the first weight u
+present; the 2^k sublist pairs of the rest r fall into one class per count
+vector s <= r, of prod_v C(r_v, s_v) equal terms:
 
     R_c = sum_{s <= r} prod_v C(r_v, s_v) [(lam^{u+1} R_s)_+, R_{r-s}]
 
 A multiset has prod_v (c_v + 1) sub-keys, not 2^k sublists. With one
 weight b the key (m,) is level m of the equal-weight family and the
 weights are the binomials C(m - 1, t); rm_equal, extract_bij, the tables
-and pair_correlator all read these levels.
+and pair_correlator all read these levels. A listing is the all-ones
+count vector over its weights as listed: every weight is its own
+coordinate, every split weight is 1 and the split is the listing one
+above. R_K depends only on the multiset of weights, not on their listing
+order, and acceptance criterion c09 checks this on r_family: permuted
+listings give different weight tuples, so they remove a different first
+weight and recompute along different splits.
 
 Extraction: for weights with count vector c, m = sum_v c_v of them, the
 double trace sum
@@ -164,10 +166,9 @@ Norm-bound body: the same body over the l1 norms of the scaled entries, at
 depth INF so that no validity floor drops a key, and with the
 anticommutator in place of the commutator so that every sign is dropped.
 Each lookup knows its deepest key before it starts, so it runs the norm
-pass over exactly the keys that key needs (for a count vector, every
-sub-key, which the pair sum reads), takes one width from their largest
-entry (graded_width, the least even width at or above pack_width) and
-packs every level at it; the cached record is never changed or
+pass over exactly the keys that key needs (every sub-key, which the pair
+sum reads), takes one width from their largest entry (graded_width, the
+least even width at or above pack_width) and packs every level at it; the cached record is never changed or
 repacked. The extraction bounds its own sum the same way and
 reads the level coefficients at that width if it is wider.
 
@@ -206,49 +207,8 @@ MAX_KEY = 6
 MEMO_FAMILIES = 8
 
 
-class _KeyFields(NamedTuple):
-    b_values: tuple
-    indices: tuple
-
-
-class RecursionKey(_KeyFields):
-    """Ordered index set with one positive weight per index."""
-
-    __slots__ = ()
-
-    def __new__(cls, b_values, indices):
-        bs = tuple(int(b) for b in b_values)
-        idx = tuple(int(i) for i in indices)
-        if len(bs) != len(idx):
-            raise MalformedValue("weights and indices must pair up")
-        if len(idx) != len(set(idx)):
-            raise MalformedValue("indices must be distinct")
-        if any(i < 1 for i in idx):
-            raise MalformedValue("indices must be positive")
-        if any(b < 1 for b in bs):
-            raise IndexOutOfRange("weights must be >= 1")
-        if len(bs) > MAX_KEY:
-            raise MalformedValue(f"at most {MAX_KEY} indices supported")
-        return super().__new__(cls, bs, idx)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip __new__
-        return cls(*iterable)
-
-
-def _as_weights(key):
-    if not isinstance(key, RecursionKey):
-        bs = tuple(key)  # read once: key may be an iterator
-        key = RecursionKey(bs, range(1, len(bs) + 1))
-    return key.b_values
-
-
 def _grade(weights, key) -> int:
-    """sum(w + 1) mod 2 over the weights w of key: a count vector over the
-    distinct weights, or, with weights None, a weight listing."""
-    if weights is None:
-        return sum(w + 1 for w in key) % 2
+    """sum(w + 1) mod 2 over the weights w of the count vector key."""
     return sum(c * (u + 1) for u, c in zip(weights, key)) % 2
 
 
@@ -325,8 +285,8 @@ def _splits(key):
 
 
 def _multiset_spec(weights):
-    """Spec of count-vector keys over the distinct weights: one copy of the
-    first weight present is removed and the rest split I | J by _splits."""
+    """Spec of count-vector keys over weights: one copy of the first weight
+    present is removed and the rest split I | J by _splits."""
 
     def spec(key):
         for v, c in enumerate(key):
@@ -337,30 +297,16 @@ def _multiset_spec(weights):
     return spec
 
 
-def _subset_spec(bs):
-    if not bs:
-        return None
-    rest = bs[1:]
-    r = len(rest)
-    terms = []
-    for mask in range(1 << r):
-        left = tuple(rest[t] for t in range(r) if (mask >> t) & 1)
-        right = tuple(rest[t] for t in range(r) if not (mask >> t) & 1)
-        terms.append((1, right, left))
-    return bs[0], terms
-
-
 class _Levels(NamedTuple):
     """Levels of one lookup at one (depth, cap), as exact packed integers.
 
-    packed[key] is L**(k+1) times the true matrix of a key with k weights
-    (L = scale, from the scaled base), each eps-polynomial in graded form
-    at block width `width` (p1gw.eps), its parity given by its position
-    (grade); norms[key] is the norm pass of the same key. Both hold every
-    key the lookup's key needs, and for a count vector every sub-key too,
-    which the pair sum reads; width comes from their largest norm entry.
-    weights are the distinct weights of count-vector keys, or None for
-    weight listings. Nothing changes a record once it is built.
+    packed[key] is L**(k+1) times the true matrix of a count vector key
+    over weights with k weights in all (L = scale, from the scaled base),
+    each eps-polynomial in graded form at block width `width` (p1gw.eps),
+    its parity given by its position (grade); norms[key] is the norm pass
+    of the same key. Both hold every sub-key of the lookup's key, which the
+    pair sum reads; width comes from their largest norm entry. Nothing
+    changes a record once it is built.
     """
 
     scale: int
@@ -399,19 +345,17 @@ def _scaled_base(depth, cap):
 
 @lru_cache(maxsize=MEMO_FAMILIES)
 def _levels(weights, key, depth, cap) -> _Levels:
-    """Levels that key needs: the count vector key over the distinct
-    weights, or, with weights None, the subset recursion of the weight
-    listing key.
+    """Levels of every sub-key of the count vector key over weights.
 
     Two threads asking for one missing entry may both build it; the results
     are equal and neither is ever changed, so no lock is needed.
     """
-    spec = _subset_spec if weights is None else _multiset_spec(weights)
+    spec = _multiset_spec(weights)
     scale, base, norm_base = _scaled_base(depth, cap)
     norms = {}
-    # a count vector's pair sum reads every sub-key, which its own
-    # recursion need not reach once two weights differ
-    keys = [key] if weights is None else [s for _, s, _ in _splits(key)]
+    # the pair sum reads every sub-key, which the key's own recursion need
+    # not reach once two weights differ
+    keys = [s for _, s, _ in _splits(key)]
     for k in keys:
         _run(k, spec, lambda: norm_base, _anticommutator, None, norms)
     width = graded_width(max(map(_largest, norms.values())))
@@ -441,19 +385,23 @@ def _check_cap(eps_cap, least=0):
         raise MalformedValue(f"eps_cap must be >= {least}, got {eps_cap}")
 
 
-def r_family(key, depth: int, eps_cap=None) -> Mat2:
-    """Evaluate the subset recursion for an arbitrary weight listing.
+def r_family(weights, depth: int, eps_cap=None) -> Mat2:
+    """The level of a listing of at most MAX_KEY weights, each >= 1.
 
-    key is a RecursionKey or a bare sequence of weights (indices implied).
-    The result depends only on the weights in listing order; permuted
-    listings recompute from scratch, which is what the order-independence
-    property test relies on.
+    It runs as the all-ones count vector over the weights as listed, so a
+    permuted listing recomputes along different splits, which is what the
+    order-independence check relies on.
     """
     if depth < 0:
         raise MalformedValue("depth must be >= 0")
     _check_cap(eps_cap)
-    bs = _as_weights(key)
-    return _rational(_levels(None, bs, depth, eps_cap), bs, len(bs))
+    ws = tuple(int(w) for w in weights)  # read once: weights may be an iterator
+    if any(w < 1 for w in ws):
+        raise IndexOutOfRange("weights must be >= 1")
+    if len(ws) > MAX_KEY:
+        raise MalformedValue(f"at most {MAX_KEY} weights supported")
+    key = (1,) * len(ws)
+    return _rational(_levels(ws, key, depth, eps_cap), key, len(ws))
 
 
 def rm_equal(b: int, m: int, depth: int, eps_cap=None) -> Mat2:
@@ -538,15 +486,23 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
         raise IndexOutOfRange(f"recursion route needs weight >= 1, got {b}")
     if m < 0:
         raise MalformedValue(f"level must be >= 0, got {m}")
-    budget = default_extract_depth(b, m, i, j)
-    _check_cap(eps_cap, budget)
-    if (b * m + i + j) % 2:
+    _check_cap(eps_cap, default_extract_depth(b, m, i, j))
+    return _pair((b,), (m,), i, j, depth, eps_cap)
+
+
+def _pair(weights, key, i, j, depth, cap) -> EpsLaurent:
+    """The pair (i, j) over the count vector key of weights, its levels
+    eps-capped at cap: zero at any depth for an odd index sum; else run at
+    depth, by default the budget sum(c(w + 1)) + i + j + 2, and a depth
+    below the budget raises DepthExceeded."""
+    if (sum(c * w for w, c in zip(weights, key)) + i + j) % 2:
         return EPS_ZERO
+    budget = sum(c * (w + 1) for w, c in zip(weights, key)) + i + j + 2
     if depth is None:
         depth = budget
     elif depth < budget:
         raise DepthExceeded(-budget, depth, "pair extraction")
-    return _extract(_levels((b,), (m,), depth, eps_cap), (b,), (m,), i, j)
+    return _extract(_levels(weights, key, depth, cap), weights, key, i, j)
 
 
 def pair_correlator(ks, depth=None) -> EpsLaurent:
@@ -561,17 +517,10 @@ def pair_correlator(ks, depth=None) -> EpsLaurent:
     ks = tuple(sorted(ks, reverse=True))
     if len(ks) < 2 or ks[-1] < 1:
         raise IndexOutOfRange(f"pair extraction needs two or more indices >= 1, got {ks}")
-    budget = sum(ks) + len(ks)
-    if sum(ks) % 2:
-        return EPS_ZERO
-    if depth is None:
-        depth = budget
-    elif depth < budget:
-        raise DepthExceeded(-budget, depth, "pair extraction")
     (i, j), ws = ks[:2], ks[2:]
     weights = tuple(sorted(set(ws), reverse=True))
     key = tuple(ws.count(w) for w in weights)
-    return _extract(_levels(weights, key, depth, budget), weights, key, i, j)
+    return _pair(weights, key, i, j, depth, sum(ks) + len(ks))
 
 
 class PolygonTable(NamedTuple):

@@ -119,6 +119,8 @@ def test_cli_correlator_no_stability_accepts_fixed_depth(capsys):
         ["verify", "degree1", "--depth", "8"],
         ["verify", "tables", "--depth", "8"],
         ["verify", "stability", "--depth", "8"],
+        # one insertion more than the library's MAX_POINTS
+        ["correlator"] + ["1"] * 9,
     ],
 )
 def test_cli_usage_errors_exit_three(capsys, argv):

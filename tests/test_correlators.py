@@ -251,12 +251,10 @@ def test_default_depth_covers_all_contributions():
     assert two_point(*ks, depth=d) == two_point(*ks, depth=d + 6)
 
 
-_LAURENT = correlators._Ring(EPS_ZERO, EPS_ONE, True)
-
-
 def _laurent_cycle_sum(targets, depth):
-    # reference: the same DP body over the exact rational entry table
-    return correlators._seed_total(targets, depth, entry_table(depth), _LAURENT)
+    # reference: the same DP body over the exact rational entry table; its
+    # int seeds and zeros act on EpsLaurent as scalars
+    return EPS_ZERO + correlators._seed_total(targets, depth, entry_table(depth), True)
 
 
 def _cycle_case(ks, draw):
@@ -372,7 +370,8 @@ def test_stability_check_reruns_the_served_route():
         return orig(ks, depth) + EpsLaurent.const(depth)
 
     with mock.patch.object(recursion, "pair_correlator", drifting):
-        with pytest.raises(UnstableExtraction):
+        # stability_check names both values, correlator only the depths
+        with pytest.raises(UnstableExtraction, match=r"depths 12 and 16: EpsLaurent.* vs EpsLaurent"):
             stability_check((2, 2, 2), 12, 16)
-        with pytest.raises(UnstableExtraction):
+        with pytest.raises(UnstableExtraction, match=r"\(2, 2, 2\) changed between depths 12 and 16$"):
             correlator((2, 2, 2))

@@ -12,9 +12,9 @@ import pytest
 import p1gw
 from p1gw import cli, oracles
 from p1gw.correlators import CorrelatorRecord, correlator
-from p1gw.errors import IndexOutOfRange, MalformedValue
+from p1gw.errors import MalformedValue
 from p1gw.oracles import AsymptoticReport, IdentityReport, TraceDetReport
-from p1gw.recursion import PolygonTable, RecursionKey, polygon_table
+from p1gw.recursion import PolygonTable, polygon_table
 from p1gw.resolvent import ResolventBundle, resolvent_bundle
 
 SRC = str(Path(p1gw.__file__).resolve().parent.parent)
@@ -90,7 +90,6 @@ def test_cli_verify_suites_are_the_oracle_suites():
 # field order of each record as it was when the records were dataclasses
 RECORD_FIELDS = {
     CorrelatorRecord: ("insertions", "value", "by_genus", "depth_used", "stability_verified"),
-    RecursionKey: ("b_values", "indices"),
     PolygonTable: ("b", "g_max", "rows", "depth_used", "stability_verified"),
     ResolventBundle: ("alpha", "p", "q", "beta", "gamma", "r", "depth"),
     IdentityReport: ("ident", "depth", "coefficients_checked"),
@@ -103,7 +102,6 @@ RECORD_FIELDS = {
 def _records():
     return [
         correlator((2, 2)),
-        RecursionKey((1, 2), (3, 5)),
         polygon_table(1, 4),
         resolvent_bundle(4),
         oracles.identity_check("I1", 4),
@@ -128,21 +126,9 @@ def test_records_are_immutable():
 
 
 def test_record_repr_names_its_fields():
-    assert repr(RecursionKey((1, 2), (3, 5))) == "RecursionKey(b_values=(1, 2), indices=(3, 5))"
     assert repr(cli.RunConfig(8)) == "RunConfig(depth_override=8, stability=True, format='json')"
     for rec in _records():
         assert repr(rec).startswith(f"{type(rec).__name__}({type(rec)._fields[0]}=")
-
-
-def test_recursion_key_normalises_and_validates():
-    key = RecursionKey([1.0, 2], range(3, 5))
-    assert key == ((1, 2), (3, 4))
-    assert type(key.b_values[0]) is int
-    assert key._replace(b_values=[5, 6]).b_values == (5, 6)
-    with pytest.raises(MalformedValue):
-        key._replace(indices=(3, 3))
-    with pytest.raises(IndexOutOfRange):
-        key._replace(b_values=(0, 1))
 
 
 def test_polygon_table_cell_checks_its_range():

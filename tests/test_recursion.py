@@ -16,8 +16,8 @@ from p1gw.eps import EPS_ZERO, EpsLaurent, graded_unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
 from p1gw.rational import Rat
 from p1gw.recursion import (
+    MAX_KEY,
     PolygonTable,
-    RecursionKey,
     default_extract_depth,
     extract_bij,
     polygon_table,
@@ -30,28 +30,24 @@ from p1gw.series import LambdaSeries, Mat2
 
 
 def test_recursion_key_validation():
-    RecursionKey((1, 2), (3, 5))
-    with pytest.raises(MalformedValue):
-        RecursionKey((1, 2), (3,))
-    with pytest.raises(MalformedValue):
-        RecursionKey((1, 2), (3, 3))
-    with pytest.raises(MalformedValue):
-        RecursionKey((1,), (0,))
-    with pytest.raises(IndexOutOfRange):
-        RecursionKey((0,), (1,))
-    with pytest.raises(MalformedValue):
-        RecursionKey((1,) * 7, tuple(range(1, 8)))
+    # float weights that are whole numbers normalise to int
+    assert r_family([1.0, 2], 10) == r_family((1, 2), 10)
+    assert r_family((1,) * MAX_KEY, 12) == rm_equal(1, MAX_KEY, 12)
+    with mock.patch.object(recursion, "_levels", side_effect=AssertionError):
+        with pytest.raises(IndexOutOfRange):
+            r_family((1, 0), 10)
+        with pytest.raises(MalformedValue):
+            r_family((1,) * (MAX_KEY + 1), 10)
+        with pytest.raises(MalformedValue):
+            r_family((1, 2), -1)
 
 
 def test_family_is_label_order_independent():
     depth = 14
     weights = (1, 2, 3)
-    base = r_family(RecursionKey(weights, (1, 2, 3)), depth)
-    for perm in itertools.permutations(range(3)):
-        bs = tuple(weights[i] for i in perm)
-        idx = tuple((1, 2, 3)[i] for i in perm)
-        other = r_family(RecursionKey(bs, idx), depth)
-        assert other == base
+    base = r_family(weights, depth)
+    for perm in itertools.permutations(weights):
+        assert r_family(perm, depth) == base, perm
 
 
 def test_family_key_may_be_an_iterator():
@@ -62,7 +58,7 @@ def test_equal_weight_shortcut_matches_general_family():
     depth = 16
     for b, m in [(1, 2), (2, 2), (1, 3)]:
         shortcut = rm_equal(b, m, depth)
-        general = r_family(RecursionKey((b,) * m, tuple(range(1, m + 1))), depth)
+        general = r_family((b,) * m, depth)
         assert shortcut == general
 
 
@@ -319,7 +315,7 @@ def test_integer_recursion_matches_rational_ring(b, m, capped, data):
     weights = tuple(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
     for spec, key, packed in (
         (recursion._multiset_spec((b,)), (m,), lambda: rm_equal(b, m, depth, cap)),
-        (recursion._subset_spec, weights, lambda: r_family(weights, depth, cap)),
+        (recursion._multiset_spec(weights), (1,) * m, lambda: r_family(weights, depth, cap)),
     ):
         try:
             want = _rational_run(spec, key, depth, cap)
@@ -335,8 +331,9 @@ def test_integer_recursion_matches_rational_ring(b, m, capped, data):
 )
 @pytest.mark.parametrize("cap", [None, 14])
 def test_multiset_levels_match_the_subset_recursion(weights, key, cap):
-    # every sub-key of a count vector equals the subset recursion of its
-    # listing: the binomial weights count the listing's splits
+    # every sub-key of a count vector equals r_family of its listing, whose
+    # all-ones count vector splits it as sublists: the binomial weights
+    # count the listing's splits
     depth = 14
     levels = recursion._levels(weights, key, depth, cap)
     assert set(levels.packed) == {s for _, s, _ in recursion._splits(key)}
@@ -382,9 +379,7 @@ def test_table_levels_packing_width_is_proven():
 
 
 def _sum_w_plus_1(weights, key):
-    # sum(w + 1) over a key's weights: a listing, or a count vector over weights
-    if weights is None:
-        return sum(w + 1 for w in key)
+    # sum(w + 1) over the weights of a count vector key
     return sum(c * (u + 1) for u, c in zip(weights, key))
 
 
@@ -403,16 +398,15 @@ def test_rational_levels_follow_the_parity_rule(depth, cap):
         # the mixed-weight sub-keys that pair_correlator's levels hold
         ((2, 1), (1, 1)),
         ((3, 2), (1, 1)),
-        # r_family's weight listings
-        (None, (2, 1)),
-        (None, (1, 3)),
+        # r_family's weight listings, all-ones count vectors
+        ((2, 1), (1, 1)),
+        ((1, 3), (1, 1)),
     ]
     odd = checked = 0
     for weights, key in cases:
-        spec = recursion._subset_spec if weights is None else recursion._multiset_spec(weights)
-        subkeys = [key] if weights is None else [s for _, s, _ in recursion._splits(key)]
+        spec = recursion._multiset_spec(weights)
         memo = {}
-        for k in subkeys:
+        for _, k, _ in recursion._splits(key):
             _rational_run(spec, k, depth, cap, memo)
         for k, mat in memo.items():
             grade = _sum_w_plus_1(weights, k)
