@@ -3,11 +3,13 @@
 All computations run over exact rationals. The resolvent matrix is built
 from closed coefficient formulas; correlator() serves a closed one-point
 formula, the divisor equation for index-0 insertions and a commutator
-recursion on the resolvent family, which also gives the equal-insertion
-tables; two_point and n_point evaluate one cycle-sum dynamic program over
-traces of resolvent products; and an independent oracle layer (closed product and
-binomial-sum formulas, generating-function identities, large-genus
-asymptotics) cross-checks everything it can reach.
+recursion on the resolvent family; polygon_table gives every row of an
+equal-insertion table from one pass over the partitions of each degree
+(completed cycles, the GW/Hurwitz correspondence), sharing no code with
+the resolvent; two_point and n_point evaluate one cycle-sum dynamic program
+over traces of resolvent products; and an independent oracle layer (closed
+product and binomial-sum formulas, generating-function identities,
+large-genus asymptotics) cross-checks everything it can reach.
 
 Only the oracle layer (p1gw.oracles and the frozen tables of
 p1gw.reference) loads on first use, through the module __getattr__: no
@@ -16,6 +18,7 @@ The engines load with the package, so that the cost of importing them
 falls on `import p1gw` and never on the first call a caller times.
 """
 
+from .completed import PolygonTable, polygon_table
 from .correlators import (
     CorrelatorRecord,
     correlator,
@@ -36,13 +39,7 @@ from .errors import (
     UnstableExtraction,
 )
 from .rational import Rat, rat_from_str, rat_str
-from .recursion import (
-    PolygonTable,
-    extract_bij,
-    polygon_table,
-    r_family,
-    rm_equal,
-)
+from .recursion import extract_bij, r_family, rm_equal
 from .resolvent import ResolventBundle, build_resolvent, resolvent_bundle
 from .series import LambdaSeries, Mat2
 

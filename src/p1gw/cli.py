@@ -9,6 +9,7 @@ import argparse
 import sys
 from typing import NamedTuple
 
+from .completed import polygon_table
 from .correlators import correlator
 from .errors import (
     IndexOutOfRange,
@@ -17,7 +18,6 @@ from .errors import (
     UnstableExtraction,
 )
 from .rational import decimal_str, rat_str
-from .recursion import polygon_table
 from .render import FORMATS, eps_poly_str, eps_series_obj, render_rows, to_json
 from .resolvent import resolvent_bundle
 

@@ -69,6 +69,7 @@ from .errors import (
     MalformedValue,
     UnstableExtraction,
 )
+from . import recursion
 from .rational import factorial
 from .resolvent import entry_table
 
@@ -379,15 +380,13 @@ def _served(ks, depth: int) -> EpsLaurent:
     A depth below the budget sum(ks) + n raises DepthExceeded for n >= 2;
     the nonzero indices then run at a depth at or above their own budget.
     """
-    from .recursion import pair_correlator  # recursion imports this module
-
     n = len(ks)
     if n >= 2 and depth < sum(ks) + n:
         raise DepthExceeded(-(sum(ks) + n), depth, "correlator")
     xs = tuple(k for k in ks if k)
     zeros = n - len(xs)
     if len(xs) >= 2:
-        value = pair_correlator(xs, depth)
+        value = recursion.pair_correlator(xs, depth)
     elif xs:
         value = one_point(xs[0])
     else:

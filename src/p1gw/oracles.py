@@ -16,11 +16,12 @@ rendered by integer long division, never through floats.
 
 from typing import NamedTuple
 
+from .completed import polygon_table
 from .correlators import default_depth, n_point, one_point, stability_check, two_point
 from .eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from .errors import IdentityViolation, IndexOutOfRange, MalformedValue, P1GWError
 from .rational import ONE, Rat, ZERO, binomial, decimal_str, factorial, rat_str
-from .recursion import extract_bij, polygon_table
+from .recursion import extract_bij
 from .resolvent import resolvent_bundle
 from .series import INF, LambdaSeries
 from . import reference
@@ -329,7 +330,9 @@ def hurwitz(g: int, d: int):
 
     Equals the all-index-1 correlator with that many insertions, evaluated
     through the commutator recursion (the insertion count outruns the
-    direct cycle-sum engine's arity cap well before g + d does).
+    direct cycle-sum engine's arity cap well before g + d does). The
+    `p1gw hurwitz` command reads the completed-cycle table instead, so
+    each route checks the other.
     """
     n = 2 * g + 2 * d - 2
     if g < 0 or d < 1 or n < 1:

@@ -23,8 +23,8 @@ vector s <= r, of prod_v C(r_v, s_v) equal terms:
 
 A multiset has prod_v (c_v + 1) sub-keys, not 2^k sublists. With one
 weight b the key (m,) is level m of the equal-weight family and the
-weights are the binomials C(m - 1, t); rm_equal, extract_bij, the tables
-and pair_correlator all read these levels. A listing is the all-ones
+weights are the binomials C(m - 1, t); rm_equal, extract_bij and
+pair_correlator read these levels. A listing is the all-ones
 count vector over its weights as listed: every weight is its own
 coordinate, every split weight is 1 and the split is the listing one
 above. R_K depends only on the multiset of weights, not on their listing
@@ -84,12 +84,9 @@ validity depths (p1gw.series):
 So the default depth is the budget, and the stability rerun STABILITY_STEP
 deeper is expected to agree. An odd index sum admits no degree: the value
 is zero at any depth. correlator runs the nonzero indices at its own depth,
-whose budget counts the zeros too, so it is at or above theirs. Table row n
-is the pair (b, n - 2, b, b) with budget (b + 1)n; polygon_table runs at
-its deepest even-weight row's budget by default and raises
-UnstableExtraction below it. A weight-0 table keeps that depth rule, but
-its rows read no level: row n is one_point(0) with n - 1 divisor factors,
-<tau_0^n>_{g,d} = d**(n-1) <tau_0>_{g,d}, so it has no insertion limit.
+whose budget counts the zeros too, so it is at or above theirs. The
+equal-insertion tables (p1gw.completed) read no level; they keep the
+budget (b + 1)n of the pair (b, n - 2, b, b) as their depth contract.
 
 Every eps exponent in sight is non-negative and the final normalization
 divides by a fixed eps power, so dropping eps exponents above a cap chosen
@@ -99,9 +96,8 @@ to sum(ks) + m + 2, the budget; the multiset split changes no exponent, so
 this bound is the one the equal-weight pair (b, m, i, j) had,
 default_extract_depth. A smaller eps_cap drops true terms, and extract_bij
 refuses it (MalformedValue), as rm_equal and r_family refuse a negative
-one; pair_correlator passes the budget itself. Table row n's exponent
-bound is (b + 1)n, within polygon_table's cap n_max(b + 1) + 2. Plain
-r_family / rm_equal calls keep full coefficients unless given a cap.
+one; pair_correlator passes the budget itself. Plain r_family /
+rm_equal calls keep full coefficients unless given a cap.
 
 Exact integer kernel. Both recursions and the extraction run on the graded
 packed form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
@@ -174,7 +170,7 @@ reads the level coefficients at that width if it is wider.
 
 The same body also runs over the rational EpsLaurent base, which the tests
 use as the reference. Both rational backends run the recursion on the same
-ints, so the tables cost the same on both.
+ints, so it costs the same on both.
 """
 
 from functools import lru_cache
@@ -182,7 +178,6 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .correlators import STABILITY_STEP, _divisor, one_point
 from .eps import (
     EPS_ZERO,
     EpsLaurent,
@@ -193,13 +188,8 @@ from .eps import (
     graded_width,
     scaled_rows,
 )
-from .errors import (
-    DepthExceeded,
-    IndexOutOfRange,
-    MalformedValue,
-    UnstableExtraction,
-)
-from .rational import Rat, ZERO, binomial, factorial
+from .errors import DepthExceeded, IndexOutOfRange, MalformedValue
+from .rational import binomial, factorial
 from .resolvent import resolvent_bundle
 from .series import INF, LambdaSeries, Mat2
 
@@ -521,73 +511,3 @@ def pair_correlator(ks, depth=None) -> EpsLaurent:
     weights = tuple(sorted(set(ws), reverse=True))
     key = tuple(ws.count(w) for w in weights)
     return _pair(weights, key, i, j, depth, sum(ks) + len(ks))
-
-
-class PolygonTable(NamedTuple):
-    b: int
-    g_max: int
-    rows: tuple  # rows[n - 1][g] is the (n, g) cell
-    depth_used: int
-    stability_verified: bool
-
-    def cell(self, n: int, g: int) -> Rat:
-        if not 1 <= n <= len(self.rows) or not 0 <= g <= self.g_max:
-            raise MalformedValue(f"cell ({n}, {g}) outside the table")
-        return self.rows[n - 1][g]
-
-
-def _table_rows(b, n_max, g_max, depth, cap, top):
-    # one lookup builds the levels of the deepest row, and every row reads them
-    levels = _levels((b,), (top - 2,), depth, cap) if b >= 1 and top >= 2 else None
-    rows = []
-    for n in range(1, n_max + 1):
-        if (b * n) % 2:
-            rows.append((ZERO,) * (g_max + 1))
-            continue
-        if b == 0:
-            # the divisor equation, n - 1 times: <tau_0^n>_{g,d} = d**(n-1) <tau_0>_{g,d}
-            series = _divisor(one_point(0), 0, n - 1)
-        elif n == 1:
-            series = one_point(b)
-        else:
-            series = _extract(levels, (b,), (n - 2,), b, b)
-        rows.append(tuple(series.coeff(2 * g - 2) for g in range(g_max + 1)))
-    return rows
-
-
-def polygon_table(b: int, n_max: int, g_max=None, depth=None, stability: bool = True) -> PolygonTable:
-    """Rows n = 1..n_max of the weight-b family, columns g = 0..g_max.
-
-    Cell (n, g) is the genus-g invariant at the pinned degree bn/2 + 1 - g.
-    One shared truncation depth serves every row, so one level lookup per
-    depth serves the table: by default the budget (b + 1) * top of the
-    deepest row top with an even total weight, and an explicit depth below it raises
-    UnstableExtraction. With stability on, the whole table is recomputed
-    STABILITY_STEP orders deeper and compared.
-    """
-    if b < 0:
-        raise IndexOutOfRange(f"weight must be >= 0, got {b}")
-    if n_max < 1:
-        raise MalformedValue(f"need at least one row, got n_max={n_max}")
-    if g_max is None:
-        g_max = max(b * n_max // 2, 0)
-    if g_max < 0:
-        raise MalformedValue(f"g_max must be >= 0, got {g_max}")
-    top = n_max - (b * n_max) % 2  # the deepest row with an even total weight
-    budget = (b + 1) * top  # sum(ks) + n for that row's n insertions
-    if depth is None:
-        depth = budget
-    elif depth < budget:
-        raise UnstableExtraction(f"weight-{b} table to n = {n_max} needs depth >= {budget}, got {depth}")
-    cap = n_max * (b + 1) + 2
-    rows = _table_rows(b, n_max, g_max, depth, cap, top)
-    verified = False
-    if stability and b >= 1 and n_max >= 2:
-        again = _table_rows(b, n_max, g_max, depth + STABILITY_STEP, cap, top)
-        if again != rows:
-            raise UnstableExtraction(
-                f"weight-{b} table changed between depths {depth} and "
-                f"{depth + STABILITY_STEP}"
-            )
-        verified = True
-    return PolygonTable(b, g_max, tuple(rows), depth, verified)

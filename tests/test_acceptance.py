@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p1gw import oracles, reference
+from p1gw.completed import polygon_table
 from p1gw.correlators import (
     _evaluate,
     correlator,
@@ -25,7 +26,7 @@ from p1gw.correlators import (
 )
 from p1gw.eps import EPS_ZERO
 from p1gw.rational import Rat, factorial
-from p1gw.recursion import extract_bij, polygon_table, r_family
+from p1gw.recursion import extract_bij, r_family
 from p1gw.resolvent import build_resolvent, check_head, entry_table
 
 _TABLES = {}

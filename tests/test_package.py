@@ -11,10 +11,10 @@ import pytest
 
 import p1gw
 from p1gw import cli, oracles
+from p1gw.completed import PolygonTable, polygon_table
 from p1gw.correlators import CorrelatorRecord, correlator
 from p1gw.errors import MalformedValue
 from p1gw.oracles import AsymptoticReport, IdentityReport, TraceDetReport
-from p1gw.recursion import PolygonTable, polygon_table
 from p1gw.resolvent import ResolventBundle, resolvent_bundle
 
 SRC = str(Path(p1gw.__file__).resolve().parent.parent)
@@ -32,11 +32,11 @@ def _python(*args):
 
 def test_import_loads_the_engines_and_not_the_oracle_layer():
     probe = ("import sys, p1gw; print(' '.join(m for m in ('dataclasses', 'inspect', "
-             "'p1gw.oracles', 'p1gw.reference', 'p1gw.correlators', 'p1gw.recursion') "
-             "if m in sys.modules))")
+             "'p1gw.oracles', 'p1gw.reference', 'p1gw.completed', 'p1gw.correlators', "
+             "'p1gw.recursion') if m in sys.modules))")
     proc = _python("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["p1gw.correlators", "p1gw.recursion"]
+    assert proc.stdout.split() == ["p1gw.completed", "p1gw.correlators", "p1gw.recursion"]
 
 
 def test_cli_process_exit_codes_and_imports():

@@ -10,20 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import windowed_extract
-from p1gw import correlators, recursion
+from p1gw import completed, correlators, recursion
+from p1gw.completed import PolygonTable, polygon_table
 from p1gw.correlators import MAX_POINTS, STABILITY_STEP, correlator, n_point, two_point
 from p1gw.eps import EPS_ZERO, EpsLaurent, graded_unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
 from p1gw.rational import Rat
-from p1gw.recursion import (
-    MAX_KEY,
-    PolygonTable,
-    default_extract_depth,
-    extract_bij,
-    polygon_table,
-    r_family,
-    rm_equal,
-)
+from p1gw.recursion import MAX_KEY, default_extract_depth, extract_bij, r_family, rm_equal
 from p1gw import reference
 from p1gw.resolvent import resolvent_bundle
 from p1gw.series import LambdaSeries, Mat2
@@ -182,7 +175,7 @@ def test_polygon_table_weight_zero_routes():
     assert tab.depth_used == 4
     with pytest.raises(UnstableExtraction):
         polygon_table(0, 4, depth=3)
-    # row n is one_point(0) with n - 1 divisor factors; no cycle DP runs
+    # one completed-cycle pass gives every row; no cycle DP runs
     with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
         tab = polygon_table(0, 12, g_max=2, depth=15)
     assert tab.depth_used == 15 and not tab.stability_verified
@@ -204,23 +197,21 @@ def test_polygon_table_bounds_and_validation():
         polygon_table(-1, 3)
     with pytest.raises(MalformedValue):
         polygon_table(1, 0)
-    # weight-0 rows need no cycle DP, so its insertion limit does not bound them
+    # table rows need no cycle DP, so its insertion limit does not bound them
     with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
         assert polygon_table(0, MAX_POINTS + 1).rows == ((1,),) * (MAX_POINTS + 1)
     assert isinstance(tab, PolygonTable)
 
 
-def test_polygon_table_builds_its_levels_once_per_depth():
-    recursion._levels.cache_clear()
-    tab = polygon_table(1, 8)
-    # one lookup of the deepest row's levels at the table's depth and one
-    # at the stability rerun's; every row reads them
-    assert recursion._levels.cache_info().misses == 2
-    assert tab.depth_used == 16 and tab.stability_verified
-    cap = 8 * 2 + 2
-    for depth in (16, 16 + STABILITY_STEP):
-        assert set(recursion._levels((1,), (6,), depth, cap).packed) == {(t,) for t in range(7)}
-    assert recursion._levels.cache_info().misses == 2
+def test_polygon_table_runs_neither_the_recursion_nor_the_cycle_dp():
+    # every row, weight 0 and row 1 included, comes from the completed-cycle pass
+    with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
+        correlators, "_cycle_sum", side_effect=AssertionError
+    ):
+        for b, n_max in ((0, 4), (1, 8), (2, 5), (3, 4), (6, 2)):
+            tab = polygon_table(b, n_max)
+            assert tab.stability_verified == (b >= 1)
+            assert tab.depth_used == (b + 1) * (n_max - (b * n_max) % 2)
 
 
 def test_polygon_table_depth_override_consistent():
@@ -242,7 +233,7 @@ def test_polygon_table_runs_at_its_deepest_row_budget(b, n_max):
         frozen = reference.table_row(b, n)
         assert tab.rows[n - 1][: len(frozen)] == frozen[: tab.g_max + 1], n
     # one below the budget raises before any row is computed
-    with mock.patch.object(recursion, "_table_rows", side_effect=AssertionError):
+    with mock.patch.object(completed, "_rows", side_effect=AssertionError):
         with pytest.raises(UnstableExtraction, match=f"needs depth >= {budget}"):
             polygon_table(b, n_max, depth=budget - 1, stability=False)
 
@@ -311,7 +302,7 @@ def _rational_run(spec, key, depth, cap, memo=None):
 @given(st.integers(1, 4), st.integers(0, 4), st.booleans(), st.data())
 def test_integer_recursion_matches_rational_ring(b, m, capped, data):
     depth = data.draw(st.integers(b, 24))
-    cap = (m + 2) * (b + 1) + 2 if capped else None  # polygon_table's cap for n_max = m + 2
+    cap = (m + 2) * (b + 1) + 2 if capped else None  # above the pair (b, m, b, b)'s budget
     weights = tuple(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
     for spec, key, packed in (
         (recursion._multiset_spec((b,)), (m,), lambda: rm_equal(b, m, depth, cap)),
@@ -358,7 +349,7 @@ def test_pair_correlator_matches_the_direct_engine():
 
 def test_table_levels_packing_width_is_proven():
     b, n_max = 1, 12
-    # polygon_table(1, 12)'s cap, at a depth past its own 24 for more coefficients
+    # level 10 of weight 1 at the eps cap 26, at depth 40 for more coefficients
     depth, cap = 40, n_max * (b + 1) + 2
     fam = recursion._levels((b,), (n_max - 2,), depth, cap)
     entries = lambda mat: (mat.a, mat.b, mat.c, mat.d)  # noqa: E731
