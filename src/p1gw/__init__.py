@@ -2,14 +2,15 @@
 
 All computations run over exact rationals. The resolvent matrix is built
 from closed coefficient formulas; correlator() serves a closed one-point
-formula, the divisor equation for index-0 insertions and a commutator
-recursion on the resolvent family; polygon_table gives every row of an
-equal-insertion table from one pass over the partitions of each degree
-(completed cycles, the GW/Hurwitz correspondence), sharing no code with
-the resolvent; two_point and n_point evaluate one cycle-sum dynamic program
-over traces of resolvent products; and an independent oracle layer (closed
-product and binomial-sum formulas, generating-function identities,
-large-genus asymptotics) cross-checks everything it can reach.
+formula, the divisor equation for index-0 insertions, and then, by a
+cost rule on the input, one pass over the partitions of each degree
+(completed cycles, the GW/Hurwitz correspondence, sharing no code with
+the resolvent) or, for large weights, a commutator recursion on the
+resolvent family; polygon_table gives every row of an equal-insertion
+table from the same pass; two_point and n_point evaluate one cycle-sum
+dynamic program over traces of resolvent products; and an independent
+oracle layer (closed product and binomial-sum formulas, generating-function
+identities, large-genus asymptotics) cross-checks everything it can reach.
 
 Only the oracle layer (p1gw.oracles and the frozen tables of
 p1gw.reference) loads on first use, through the module __getattr__: no

@@ -49,7 +49,7 @@ def _add_common(sp, depth=True, stability=True):
     if depth:
         sp.add_argument("--depth", type=int, default=None, help="truncation depth override (>= 4)")
     if stability:
-        sp.add_argument("--no-stability", action="store_true", help="skip the depth+4 recheck")
+        sp.add_argument("--no-stability", action="store_true", help="skip the stability recheck")
     sp.add_argument("--format", choices=FORMATS, default="json", help="output format")
 
 

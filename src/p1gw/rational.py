@@ -7,6 +7,7 @@ surface we need; code elsewhere treats Rat as opaque.
 
 import math
 import re
+from itertools import product
 
 try:
     from gmpy2 import mpq as Rat  # type: ignore
@@ -98,3 +99,17 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def splits(key):
+    """(weight, s, key - s) for every count vector s <= key, in product order.
+
+    A count vector holds key[v] copies of the v-th weight of a multiset;
+    its ordered splits I | J as a listing are the s with weight
+    prod_v C(key[v], s[v]) each. Product order lists every s' <= s before s.
+    """
+    for s in product(*(range(c + 1) for c in key)):
+        w = 1
+        for c, t in zip(key, s):
+            w *= binomial(c, t)
+        yield w, s, tuple(c - t for c, t in zip(key, s))

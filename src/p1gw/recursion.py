@@ -49,9 +49,11 @@ two targets:
 
     sum_{s <= c} w_s sum_{j >= 0} (j + 1) tr(R_s[j - hi] R_{c-s}[-lo - 2 - j])
 
-where R[e] is the lam^e coefficient matrix. pair_correlator serves
-p1gw.correlators.correlator with it: the two largest indices are the pair,
-the rest the weights. Index-0 insertions never reach it: correlator strips
+where R[e] is the lam^e coefficient matrix. pair_correlator reads it for
+p1gw.correlators.correlator past the cost rule there, the shapes whose
+d_max = sum(ks) / 2 + 1 exceeds PASS_DEGREE (the completed-cycle pass
+serves the rest): the two largest indices are the pair, the rest the
+weights. Index-0 insertions never reach it: correlator strips
 them first by the divisor equation <tau_0 X>_{g,d} = d <X>_{g,d}, which
 multiplies the eps^(2g-2) coefficient by d**z for z zeros, with
 d = (sum(ks) + 2 - 2g) / 2.
@@ -174,7 +176,6 @@ ints, so it costs the same on both.
 """
 
 from functools import lru_cache
-from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -189,7 +190,7 @@ from .eps import (
     scaled_rows,
 )
 from .errors import DepthExceeded, IndexOutOfRange, MalformedValue
-from .rational import binomial, factorial
+from .rational import factorial, splits
 from .resolvent import resolvent_bundle
 from .series import INF, LambdaSeries, Mat2
 
@@ -260,28 +261,14 @@ def _run(key, spec, base, bracket, trim, memo) -> Mat2:
     return got
 
 
-def _splits(key):
-    """(weight, s, key - s) for every count vector s <= key.
-
-    A count vector holds key[v] copies of the v-th weight of a multiset;
-    its ordered splits I | J as a listing are the s with weight
-    prod_v C(key[v], s[v]) each.
-    """
-    for s in product(*(range(c + 1) for c in key)):
-        w = 1
-        for c, t in zip(key, s):
-            w *= binomial(c, t)
-        yield w, s, tuple(c - t for c, t in zip(key, s))
-
-
 def _multiset_spec(weights):
     """Spec of count-vector keys over weights: one copy of the first weight
-    present is removed and the rest split I | J by _splits."""
+    present is removed and the rest split I | J by p1gw.rational.splits."""
 
     def spec(key):
         for v, c in enumerate(key):
             if c:
-                return weights[v], list(_splits(key[:v] + (c - 1,) + key[v + 1 :]))
+                return weights[v], list(splits(key[:v] + (c - 1,) + key[v + 1 :]))
         return None
 
     return spec
@@ -345,7 +332,7 @@ def _levels(weights, key, depth, cap) -> _Levels:
     norms = {}
     # the pair sum reads every sub-key, which the key's own recursion need
     # not reach once two weights differ
-    keys = [s for _, s, _ in _splits(key)]
+    keys = [s for _, s, _ in splits(key)]
     for k in keys:
         _run(k, spec, lambda: norm_base, _anticommutator, None, norms)
     width = graded_width(max(map(_largest, norms.values())))
@@ -415,14 +402,14 @@ def _pair_sum(levels, key, hi, lo, grade, read=lambda x, p: x):
     """sum_s w_s sum_j (j + 1) tr(R_s[j - hi] R_{key-s}[-lo - 2 - j]).
 
     The outer sum runs over the splits (w_s, s, key - s) of the count
-    vector key (_splits). levels[s] is R_s and each coefficient x read
-    goes through read(x, p), p its eps parity from grade(s) (module
-    docstring). Levels have no positive powers, so j stops at hi. At a
+    vector key (p1gw.rational.splits). levels[s] is R_s and each
+    coefficient x read goes through read(x, p), p its eps parity from
+    grade(s) (module docstring). Levels have no positive powers, so j stops at hi. At a
     depth within the budget every read is at or above its entry's validity
     floor (module docstring), so a missing coefficient is a true zero.
     """
     total = 0
-    for w, s, rest in _splits(key):
+    for w, s, rest in splits(key):
         left, right = levels[s], levels[rest]
         gl, gr = grade(s), grade(rest)
         acc = 0

@@ -76,7 +76,7 @@ def test_cli_correlator_unstable_depth_exits_two(capsys):
 def test_cli_table_shallow_depth_exits_two(capsys, argv):
     # a table depth below its deepest row's budget exits 2 before any row
     # is computed, as a correlator does
-    with mock.patch.object(completed, "_rows", side_effect=AssertionError):
+    with mock.patch.object(completed, "_sums", side_effect=AssertionError):
         code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import n_point_product, s_power_squaring, two_point_product
-from p1gw import correlators, eps, recursion
+from p1gw import completed, correlators, eps, recursion
 from p1gw.correlators import (
     correlator,
     default_depth,
@@ -357,21 +357,33 @@ def test_direct_engines_never_call_the_recursion():
     want = [correlator(ks).value for ks in [(3, 1), (2, 1, 1, 0), (2, 2)]]
     with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
         recursion, "pair_correlator", side_effect=AssertionError
-    ):
+    ), mock.patch.object(completed, "pass_correlator", side_effect=AssertionError):
         got = [two_point(3, 1), n_point((2, 1, 1, 0)), correlators._evaluate((2, 2), 8, True)]
     assert got == want
 
 
 def test_stability_check_reruns_the_served_route():
-    orig = recursion.pair_correlator
+    orig = completed._connected
 
-    def drifting(ks, depth):
-        # a value that depends on the depth, as a truncation bug would
-        return orig(ks, depth) + EpsLaurent.const(depth)
+    def drifting(counts, sums, d_max):
+        # a value that depends on the q-series length, as a truncation bug would
+        out = orig(counts, sums, d_max)
+        return out[:-1] + [[x + d_max for x in out[-1]]]
 
-    with mock.patch.object(recursion, "pair_correlator", drifting):
+    with mock.patch.object(completed, "_connected", drifting):
         # stability_check names both values, correlator only the depths
         with pytest.raises(UnstableExtraction, match=r"depths 12 and 16: EpsLaurent.* vs EpsLaurent"):
             stability_check((2, 2, 2), 12, 16)
         with pytest.raises(UnstableExtraction, match=r"\(2, 2, 2\) changed between depths 12 and 16$"):
             correlator((2, 2, 2))
+    # past the cost rule the pair extraction serves, and reruns deeper
+    orig_pair = recursion.pair_correlator
+
+    def drifting_pair(ks, depth):
+        return orig_pair(ks, depth) + EpsLaurent.const(depth)
+
+    with mock.patch.object(recursion, "pair_correlator", drifting_pair):
+        with pytest.raises(UnstableExtraction, match=r"depths 38 and 42: EpsLaurent.* vs EpsLaurent"):
+            stability_check((18, 18), 38, 42)
+        with pytest.raises(UnstableExtraction, match=r"\(18, 18\) changed between depths 40 and 44$"):
+            correlator((18, 18))

@@ -15,7 +15,7 @@ from p1gw.completed import PolygonTable, polygon_table
 from p1gw.correlators import MAX_POINTS, STABILITY_STEP, correlator, n_point, two_point
 from p1gw.eps import EPS_ZERO, EpsLaurent, graded_unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
-from p1gw.rational import Rat
+from p1gw.rational import Rat, splits
 from p1gw.recursion import MAX_KEY, default_extract_depth, extract_bij, r_family, rm_equal
 from p1gw import reference
 from p1gw.resolvent import resolvent_bundle
@@ -233,7 +233,7 @@ def test_polygon_table_runs_at_its_deepest_row_budget(b, n_max):
         frozen = reference.table_row(b, n)
         assert tab.rows[n - 1][: len(frozen)] == frozen[: tab.g_max + 1], n
     # one below the budget raises before any row is computed
-    with mock.patch.object(completed, "_rows", side_effect=AssertionError):
+    with mock.patch.object(completed, "_sums", side_effect=AssertionError):
         with pytest.raises(UnstableExtraction, match=f"needs depth >= {budget}"):
             polygon_table(b, n_max, depth=budget - 1, stability=False)
 
@@ -327,7 +327,7 @@ def test_multiset_levels_match_the_subset_recursion(weights, key, cap):
     # count the listing's splits
     depth = 14
     levels = recursion._levels(weights, key, depth, cap)
-    assert set(levels.packed) == {s for _, s, _ in recursion._splits(key)}
+    assert set(levels.packed) == {s for _, s, _ in splits(key)}
     for s in levels.packed:
         listing = tuple(w for w, c in zip(weights, s) for _ in range(c))
         assert recursion._rational(levels, s, len(listing)) == r_family(listing, depth, cap), s
@@ -397,7 +397,7 @@ def test_rational_levels_follow_the_parity_rule(depth, cap):
     for weights, key in cases:
         spec = recursion._multiset_spec(weights)
         memo = {}
-        for _, k, _ in recursion._splits(key):
+        for _, k, _ in splits(key):
             _rational_run(spec, k, depth, cap, memo)
         for k, mat in memo.items():
             grade = _sum_w_plus_1(weights, k)
@@ -447,13 +447,14 @@ def test_lookups_share_one_scaled_base_per_depth_and_cap():
     recursion._scaled_base.cache_clear()
     recursion._levels.cache_clear()
     # two level lookups each (pairs (4, 4) and (6, 4) over the weights (4,)
-    # and (2,)) at the default depth 18 with cap = budget 15, and at the
-    # stability rerun's depth 22; one scaled base per (depth, cap)
-    correlator((4, 4, 4))
-    correlator((6, 4, 2))
+    # and (2,)) at correlator's default depth 18 with cap = budget 15, and
+    # at its stability rerun's depth 22; one scaled base per (depth, cap)
+    for ks in ((4, 4, 4), (6, 4, 2)):
+        for depth in (18, 18 + STABILITY_STEP):
+            recursion.pair_correlator(ks, depth)
     assert recursion._levels.cache_info().misses == 4
     assert recursion._scaled_base.cache_info().misses == 2
-    six = correlator((6, 6)).value
+    six = recursion.pair_correlator((6, 6))
     assert six == EpsLaurent(dict(reference.flagship_series())[(6, 6)])
     assert six == two_point(6, 6)
 
