@@ -26,7 +26,6 @@ from .correlators import (
     n_point,
     one_point,
     split_by_genus,
-    stability_check,
     two_point,
 )
 from .eps import EpsLaurent
@@ -80,7 +79,6 @@ __all__ = [
     "resolvent_bundle",
     "rm_equal",
     "split_by_genus",
-    "stability_check",
     "trace_det_check",
     "two_point",
     "two_point_tau0_closed",

@@ -44,15 +44,18 @@ fractions.Fraction): (16, 16) at d_max = 17: 19.5 against 14.2;
 wins by far: (8, 8, 8, 8) at 17: 105 against 17.5, and
 (9, 7, 5, 4, 3, 2, 1, 1) at 17: about 14,200 against 320. So pairs cross over
 between d_max 17 and 19, and the rule keeps every pair past it, where
-p(d_max) grows without bound, on the recursion. Both routes keep the
-budget check first: a depth below sum(ks) + n raises DepthExceeded for
-n >= 2 before anything is computed, and depth_used is the given or
-default depth. The pass has no spectral truncation, so its value is exact
-at any depth at or above the budget, and its stability rerun makes every
+p(d_max) grows without bound, on the recursion. The rule reads d_max
+alone, so three or more indices past 17 take the recursion too, though
+the pass is often faster there ((10, 10, 10, 10) at 21: 189 against 32).
+Both routes keep the budget check first: a depth below sum(ks) + n is an
+unstable extraction for n >= 2 before anything is computed, a negative
+depth is malformed for every n, and depth_used is the given or default
+depth. The pass has no spectral truncation, so its value is exact at any
+depth at or above the budget, and its stability rerun makes every
 q-series STABILITY_STEP degrees longer over the same partition sums; the
-recursion reruns STABILITY_STEP deeper. stability_check follows the same
-route. two_point, n_point and _evaluate call neither route: the tests
-compare the served route with them as an independent one.
+recursion reruns STABILITY_STEP deeper. two_point, n_point and _evaluate
+call neither route: the tests compare the served route with them as an
+independent one.
 
 A value is a Laurent polynomial in eps; the exponent 2g-2 carries the genus
 g contribution, and the degree is pinned by sum(ks) = 2d + 2g - 2.
@@ -383,10 +386,6 @@ def split_by_genus(value: EpsLaurent, ks):
     return tuple(rows)
 
 
-def _too_shallow(ks, err: DepthExceeded) -> UnstableExtraction:
-    return UnstableExtraction(f"correlator {ks} needs a deeper truncation: {err}")
-
-
 def _divisor(value: EpsLaurent, total: int, zeros: int) -> EpsLaurent:
     """Add `zeros` index-0 insertions to value, the correlator of index sum
     total: <tau_0 X>_{g,d} = d <X>_{g,d} scales the eps^(2g-2) coefficient
@@ -403,58 +402,48 @@ def _on_pass(xs) -> bool:
     return sum(xs) // 2 + 1 <= PASS_DEGREE
 
 
-def _served(ks, depth: int, rerun_depth=None) -> tuple:
-    """The values correlator() serves for sorted ks: (value,), or with a
-    rerun_depth (value, stability rerun's value). One-point, or the divisor
+def _served(ks, depth: int, rerun: bool) -> tuple:
+    """The values correlator() serves for sorted ks: (value,), or with
+    rerun (value, stability rerun's value). One-point, or the divisor
     equation over the nonzero indices, which the completed-cycle pass or
     the pair extraction serves by the cost rule (_on_pass).
 
-    A depth or rerun_depth below the budget sum(ks) + n raises
-    DepthExceeded for n >= 2, before anything is computed; the pair
-    extraction runs the nonzero indices at each depth, at or above their
-    own budget, and the pass's rerun makes every q-series STABILITY_STEP
-    degrees longer.
+    A depth below the budget sum(ks) + n is an unstable extraction for
+    n >= 2, raised before anything is computed; the rerun is never
+    shallower. The pair extraction runs the nonzero indices at depth and
+    at depth + STABILITY_STEP, both at or above their own budget, and the
+    pass's rerun makes every q-series STABILITY_STEP degrees longer.
     """
     n = len(ks)
-    for d in (depth, rerun_depth):
-        if d is not None and n >= 2 and d < sum(ks) + n:
-            raise DepthExceeded(-(sum(ks) + n), d, "correlator")
-    depths = (depth,) if rerun_depth is None else (depth, rerun_depth)
+    if n >= 2 and depth < sum(ks) + n:
+        raise UnstableExtraction(
+            f"correlator {ks} needs a deeper truncation: correlator: coefficient at exponent "
+            f"{-(sum(ks) + n)} requested but data is only valid down to exponent {-depth}"
+        )
     xs = tuple(k for k in ks if k)
     zeros = n - len(xs)
     if len(xs) >= 2 and _on_pass(xs):
-        values = completed.pass_correlator(xs, rerun_depth is not None)
+        values = completed.pass_correlator(xs, rerun)
     elif len(xs) >= 2:
+        depths = (depth, depth + STABILITY_STEP) if rerun else (depth,)
         values = tuple(recursion.pair_correlator(xs, d) for d in depths)
     elif xs:
-        values = (one_point(xs[0]),) * len(depths)
+        values = (one_point(xs[0]),) * (1 + rerun)
     else:
-        values, zeros = (one_point(0),) * len(depths), zeros - 1
+        values, zeros = (one_point(0),) * (1 + rerun), zeros - 1
     return tuple(_divisor(value, sum(ks), zeros) for value in values)
 
 
-def _stable(ks, lo_depth: int, hi_depth, show_values: bool) -> EpsLaurent:
-    """The value of _served(ks, lo_depth, hi_depth), checked against the
-    stability rerun's unless hi_depth is None. A disagreement, or a depth
-    below the budget, is an unstable extraction; show_values puts both
-    values in its message."""
-    try:
-        values = _served(ks, lo_depth, hi_depth)
-    except DepthExceeded as err:
-        raise _too_shallow(ks, err) from err
-    lo, *rerun = values
-    if rerun and rerun[0] != lo:
-        msg = f"correlator {ks} changed between depths {lo_depth} and {hi_depth}"
-        raise UnstableExtraction(f"{msg}: {lo!r} vs {rerun[0]!r}" if show_values else msg)
-    return lo
-
-
-def stability_check(ks, lo_depth: int, hi_depth: int) -> bool:
-    """Recompute at two depths along correlator()'s route (on the
-    completed-cycle pass, with every q-series STABILITY_STEP degrees longer
-    instead); any disagreement is an unstable extraction."""
-    _stable(tuple(sorted(_validate_ks(ks), reverse=True)), lo_depth, hi_depth, True)
-    return True
+def _stable(ks, depth: int, rerun: bool) -> EpsLaurent:
+    """The value of _served(ks, depth, rerun), checked against the
+    stability rerun's when rerun is set; a disagreement is an unstable
+    extraction."""
+    value, *again = _served(ks, depth, rerun)
+    if again and again[0] != value:
+        raise UnstableExtraction(
+            f"correlator {ks} changed between depths {depth} and {depth + STABILITY_STEP}"
+        )
+    return value
 
 
 class CorrelatorRecord(NamedTuple):
@@ -471,16 +460,19 @@ def correlator(ks, depth=None, stability: bool = True) -> CorrelatorRecord:
     Runs once, at the given depth or else the default one, along _served:
     one-point, then the divisor equation, then the completed-cycle pass for
     nonzero indices with d_max = sum / 2 + 1 <= PASS_DEGREE and the
-    recursion's pair extraction past it (module docstring). A depth below
-    the spend budget sum(ks) + n raises UnstableExtraction; the default
-    never does. On the pass the depth is only checked against the budget,
-    and the recheck lengthens every q-series by STABILITY_STEP; on the
-    recursion it runs STABILITY_STEP deeper. An odd index sum admits no
-    degree, so its value is zero at any depth.
+    recursion's pair extraction past it (module docstring). A negative
+    depth raises MalformedValue; for n >= 2 a depth below the spend budget
+    sum(ks) + n raises UnstableExtraction, and the default never does. On
+    the pass the depth is only checked against the budget, and the recheck
+    lengthens every q-series by STABILITY_STEP; on the recursion it runs
+    STABILITY_STEP deeper. An odd index sum admits no degree, so its value
+    is zero at any depth >= 0.
     """
     ks = tuple(sorted(_validate_ks(ks), reverse=True))
     d = default_depth(ks) if depth is None else depth
+    if d < 0:
+        raise MalformedValue(f"depth must be >= 0, got {d}")
     if sum(ks) % 2:
         return CorrelatorRecord(ks, EPS_ZERO, split_by_genus(EPS_ZERO, ks), d, stability)
-    value = _stable(ks, d, d + STABILITY_STEP if stability and len(ks) >= 2 else None, False)
+    value = _stable(ks, d, stability and len(ks) >= 2)
     return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, stability)

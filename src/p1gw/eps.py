@@ -81,9 +81,9 @@ per exponent of its parity, about half the plain form's length.
 
 The cycle DP (p1gw.correlators: two_point and n_point) keeps the plain
 form on purpose. It serves no hot path, since correlator() runs on the
-recursion, and it is the independent route that the recursion's values
-are tested against, so it shares none of the graded bookkeeping it would
-be checking.
+completed-cycle pass or the recursion, and it is the independent route
+that their values are tested against, so it shares none of the graded
+bookkeeping it would be checking.
 """
 
 from math import gcd, lcm

@@ -17,7 +17,7 @@ rendered by integer long division, never through floats.
 from typing import NamedTuple
 
 from .completed import polygon_table
-from .correlators import default_depth, n_point, one_point, stability_check, two_point
+from .correlators import correlator, n_point, one_point, two_point
 from .eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from .errors import IdentityViolation, IndexOutOfRange, MalformedValue, P1GWError
 from .rational import ONE, Rat, ZERO, binomial, decimal_str, factorial, rat_str
@@ -166,7 +166,7 @@ def _rhs_i6(a, b, c):
     )
 
 
-# id -> (fixed insertions, eps prefactor exponent, resolvent combination)
+# id -> (fixed insertions, resolvent combination)
 IDENTITIES = {
     "I1": ((0,), _rhs_i1),
     "I2": ((1,), _rhs_i2),
@@ -451,9 +451,8 @@ def verify_stability() -> dict:
     failures = []
     for ks, _ in reference.FLAGSHIP:
         checks += 1
-        d = default_depth(ks)
         try:
-            stability_check(ks, d, d + 4)
+            correlator(ks)
         except P1GWError as err:
             failures.append(f"{ks}: {err}")
     return _suite("stability", checks, failures)

@@ -1,8 +1,10 @@
 """Exact rational arithmetic primitives.
 
-Uses gmpy2.mpq when available (much faster for the deep recursions in this
-package), falling back to fractions.Fraction. Both types share the operator
-surface we need; code elsewhere treats Rat as opaque.
+Uses gmpy2.mpq when available, falling back to fractions.Fraction. The
+engines' hot loops (the cycle DP, the recursion and the completed-cycle
+pass) run on exact ints, so the backend only changes the rational
+arithmetic around them. Both types share the operator surface we need;
+code elsewhere treats Rat as opaque.
 """
 
 import math

@@ -15,7 +15,6 @@ from p1gw.correlators import (
     n_point,
     one_point,
     split_by_genus,
-    stability_check,
     two_point,
 )
 from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent, pack, repack, unpack
@@ -174,11 +173,28 @@ def test_split_by_genus_keeps_explicit_zeros():
 
 
 def test_stability_check_passes_and_fails():
-    assert stability_check((2, 2, 2), 12, 16)
+    assert correlator((2, 2, 2), depth=12).stability_verified
     with pytest.raises(UnstableExtraction):
-        stability_check((2, 2, 2), 4, 16)
+        correlator((2, 2, 2), depth=4)
     with pytest.raises(UnstableExtraction):
-        stability_check((6, 6), 4, 16)
+        correlator((6, 6), depth=4)
+
+
+def test_negative_depth_is_malformed_on_every_shape():
+    # one-point, odd sums, pass, recursion and all-zero shapes, with or
+    # without the recheck; the check comes before any engine runs
+    with mock.patch.object(
+        completed, "pass_correlator", side_effect=AssertionError
+    ), mock.patch.object(recursion, "pair_correlator", side_effect=AssertionError):
+        for ks in [(4,), (3,), (0,), (3, 2), (2, 2, 2), (18, 18), (0, 0), (5, 1, 0)]:
+            for stability in (True, False):
+                with pytest.raises(MalformedValue, match=r"depth must be >= 0, got -5$"):
+                    correlator(ks, depth=-5, stability=stability)
+    # depth 0 keeps its meaning: exact for one insertion, too shallow for more
+    assert correlator((4,), depth=0).value == one_point(4)
+    assert correlator((3, 2), depth=0).value == EPS_ZERO
+    with pytest.raises(UnstableExtraction):
+        correlator((2, 2), depth=0)
 
 
 def test_unstable_explicit_depth_in_correlator():
@@ -350,7 +366,7 @@ def test_served_route_never_runs_the_cycle_dp():
     with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
         for ks in [(1,) * 6, (3, 2, 2, 1), (6, 6), (4, 0, 0), (0,) * 8]:
             correlator(ks)
-        assert stability_check((2, 2, 2), 12, 16)
+        assert correlator((2, 2, 2), depth=12).stability_verified
 
 
 def test_direct_engines_never_call_the_recursion():
@@ -371,9 +387,6 @@ def test_stability_check_reruns_the_served_route():
         return out[:-1] + [[x + d_max for x in out[-1]]]
 
     with mock.patch.object(completed, "_connected", drifting):
-        # stability_check names both values, correlator only the depths
-        with pytest.raises(UnstableExtraction, match=r"depths 12 and 16: EpsLaurent.* vs EpsLaurent"):
-            stability_check((2, 2, 2), 12, 16)
         with pytest.raises(UnstableExtraction, match=r"\(2, 2, 2\) changed between depths 12 and 16$"):
             correlator((2, 2, 2))
     # past the cost rule the pair extraction serves, and reruns deeper
@@ -383,7 +396,5 @@ def test_stability_check_reruns_the_served_route():
         return orig_pair(ks, depth) + EpsLaurent.const(depth)
 
     with mock.patch.object(recursion, "pair_correlator", drifting_pair):
-        with pytest.raises(UnstableExtraction, match=r"depths 38 and 42: EpsLaurent.* vs EpsLaurent"):
-            stability_check((18, 18), 38, 42)
         with pytest.raises(UnstableExtraction, match=r"\(18, 18\) changed between depths 40 and 44$"):
             correlator((18, 18))

@@ -1,9 +1,12 @@
 """Independent oracle layer: closed forms, identities, asymptotics."""
 
+import json
+from unittest import mock
+
 import pytest
 
-from p1gw import oracles
-from p1gw.correlators import two_point
+from p1gw import cli, completed, oracles
+from p1gw.correlators import default_depth, two_point
 from p1gw.errors import IdentityViolation, IndexOutOfRange, MalformedValue
 from p1gw.rational import Rat, factorial
 from p1gw import reference
@@ -138,6 +141,26 @@ def test_verify_suites_all_green():
         assert rep["suite"] == name
         assert rep["failures"] == [], name
         assert rep["checks"] > 0
+
+
+def test_verify_stability_reports_every_drifting_flagship(capsys):
+    orig = completed._connected
+
+    def drifting(counts, sums, d_max):
+        # a value that depends on the q-series length, as a truncation bug would
+        out = orig(counts, sums, d_max)
+        return out[:-1] + [[x + d_max for x in out[-1]]]
+
+    with mock.patch.object(completed, "_connected", drifting):
+        rep = oracles.verify_stability()
+        code = cli.main(["verify", "stability"])
+    want = []
+    for ks, _ in reference.FLAGSHIP:
+        d = default_depth(ks)
+        want.append(f"{ks}: correlator {ks} changed between depths {d} and {d + 4}")
+    assert rep == {"suite": "stability", "checks": len(want), "failures": want}
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == rep
 
 
 def test_verify_tables_reports_quarantined_cells():
