@@ -12,17 +12,24 @@ dynamic program over traces of resolvent products; and an independent
 oracle layer (closed product and binomial-sum formulas, generating-function
 identities, large-genus asymptotics) cross-checks everything it can reach.
 
-Only the oracle layer (p1gw.oracles and the frozen tables of
-p1gw.reference) loads on first use, through the module __getattr__: no
-engine imports it, so a process that only computes never pays for it.
-The engines load with the package, so that the cost of importing them
-falls on `import p1gw` and never on the first call a caller times.
+Two engines load with the package: the completed-cycle pass
+(p1gw.completed) and the router with its closed forms and cycle DP
+(p1gw.correlators). Below the cost rule they serve correlator(),
+extract_bij and polygon_table alone, so that importing them falls on
+`import p1gw` and never on a call a caller times. The commutator
+recursion, the resolvent and its series (p1gw.recursion, p1gw.resolvent,
+p1gw.series), which only shapes past the rule and the cycle DP read, and
+the oracle layer (p1gw.oracles and the frozen tables of p1gw.reference)
+load on first use: the first call past the rule or the first cycle DP
+imports what it reads, and the module __getattr__ binds their public
+names on first access.
 """
 
 from .completed import PolygonTable, polygon_table
 from .correlators import (
     CorrelatorRecord,
     correlator,
+    extract_bij,
     n_point,
     one_point,
     split_by_genus,
@@ -39,9 +46,6 @@ from .errors import (
     UnstableExtraction,
 )
 from .rational import Rat, rat_from_str, rat_str
-from .recursion import extract_bij, r_family, rm_equal
-from .resolvent import ResolventBundle, build_resolvent, resolvent_bundle
-from .series import LambdaSeries, Mat2
 
 __version__ = "0.1.0"
 
@@ -86,27 +90,35 @@ __all__ = [
     "__version__",
 ]
 
-# the oracle layer's public names, bound on first access by __getattr__
-_ORACLE_NAMES = frozenset({
-    "asymptotic_constant",
-    "asymptotic_ratio",
-    "asymptotic_report",
-    "c2m",
-    "degree_one",
-    "hurwitz",
-    "identity_check",
-    "trace_det_check",
-    "two_point_tau0_closed",
-    "two_point_tau1_closed",
-})
-_LAZY_MODULES = ("oracles", "reference")
+# the public names bound on first access by __getattr__, each to its module
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        (
+            "asymptotic_constant",
+            "asymptotic_ratio",
+            "asymptotic_report",
+            "c2m",
+            "degree_one",
+            "hurwitz",
+            "identity_check",
+            "trace_det_check",
+            "two_point_tau0_closed",
+            "two_point_tau1_closed",
+        ),
+        "oracles",
+    ),
+    **dict.fromkeys(("r_family", "rm_equal"), "recursion"),
+    **dict.fromkeys(("ResolventBundle", "build_resolvent", "resolvent_bundle"), "resolvent"),
+    **dict.fromkeys(("LambdaSeries", "Mat2"), "series"),
+}
+_LAZY_MODULES = ("oracles", "recursion", "reference", "resolvent", "series")
 
 
 def __getattr__(name):
     from importlib import import_module
 
-    if name in _ORACLE_NAMES:
-        value = getattr(import_module(".oracles", __name__), name)
+    if name in _LAZY_NAMES:
+        value = getattr(import_module("." + _LAZY_NAMES[name], __name__), name)
     elif name in _LAZY_MODULES:
         value = import_module("." + name, __name__)
     else:

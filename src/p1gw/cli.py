@@ -19,7 +19,6 @@ from .errors import (
 )
 from .rational import decimal_str, rat_str
 from .render import FORMATS, eps_poly_str, eps_series_obj, render_rows, to_json
-from .resolvent import resolvent_bundle
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -205,6 +204,8 @@ def cmd_asymptotics(args, cfg: RunConfig) -> int:
 
 
 def cmd_resolvent(args, cfg: RunConfig) -> int:
+    from .resolvent import resolvent_bundle
+
     depth = cfg.depth_override if cfg.depth_override is not None else 10
     bundle = resolvent_bundle(depth)
     entries = {}

@@ -57,6 +57,18 @@ recursion reruns STABILITY_STEP deeper. two_point, n_point and _evaluate
 call neither route: the tests compare the served route with them as an
 independent one.
 
+extract_bij(b, m, i, j), the correlator of (b,)*m + (i, j) with i, j >= 1,
+takes the same rule over those indices: the pass below it, with no rerun,
+and past it the recursion's own extract_bij, whose contract it keeps. The
+checks live here, and the recursion runs them too: the arguments and the
+eps cap first (check_pair_args), then zero for an odd index sum and
+DepthExceeded below the budget (pair_depth). The pass is exact at any
+accepted depth and cap, as the recursion is at or above the budget.
+
+Nothing below the rule imports the recursion, the resolvent or its
+series: the branch past the rule imports p1gw.recursion, and the cycle DP
+p1gw.resolvent, on first use, so `import p1gw` does not compile them.
+
 A value is a Laurent polynomial in eps; the exponent 2g-2 carries the genus
 g contribution, and the degree is pinned by sum(ks) = 2d + 2g - 2.
 
@@ -95,10 +107,9 @@ from .errors import (
     MalformedValue,
     UnstableExtraction,
 )
-from . import completed, recursion
+from . import completed
 from .completed import PASS_DEGREE, STABILITY_STEP
 from .rational import factorial
-from .resolvent import entry_table
 
 MAX_POINTS = 8
 
@@ -264,6 +275,8 @@ def _scaled_table(depth: int):
     lam-exponent to four tuples of the integer coefficients of L * entry,
     indexed by eps exponent; the norm table holds their absolute sums.
     """
+    from .resolvent import entry_table
+
     mats = entry_table(depth)
     scale, rows = scaled_rows([poly for quad in mats.values() for poly in quad])
     coeffs = {e: tuple(rows[4 * i : 4 * i + 4]) for i, e in enumerate(mats)}
@@ -425,6 +438,8 @@ def _served(ks, depth: int, rerun: bool) -> tuple:
     if len(xs) >= 2 and _on_pass(xs):
         values = completed.pass_correlator(xs, rerun)
     elif len(xs) >= 2:
+        from . import recursion
+
         depths = (depth, depth + STABILITY_STEP) if rerun else (depth,)
         values = tuple(recursion.pair_correlator(xs, d) for d in depths)
     elif xs:
@@ -476,3 +491,60 @@ def correlator(ks, depth=None, stability: bool = True) -> CorrelatorRecord:
         return CorrelatorRecord(ks, EPS_ZERO, split_by_genus(EPS_ZERO, ks), d, stability)
     value = _stable(ks, d, stability and len(ks) >= 2)
     return CorrelatorRecord(ks, value, split_by_genus(value, ks), d, stability)
+
+
+def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
+    """The pair's spend budget sum(ks) + n, the least sound depth."""
+    return (b + 1) * m + i + j + 2
+
+
+def check_pair_args(b: int, m: int, i: int, j: int, eps_cap) -> None:
+    """extract_bij's argument checks, which the recursion's extract_bij
+    shares: i, j >= 1, b >= 1, m >= 0, and an eps_cap, if given, at or
+    above default_extract_depth, the highest eps exponent any genus term
+    reads before normalization."""
+    if i < 1 or j < 1:
+        raise IndexOutOfRange(f"extraction needs i, j >= 1, got ({i}, {j})")
+    if b < 1:
+        raise IndexOutOfRange(f"recursion route needs weight >= 1, got {b}")
+    if m < 0:
+        raise MalformedValue(f"level must be >= 0, got {m}")
+    least = default_extract_depth(b, m, i, j)
+    if eps_cap is not None and eps_cap < least:
+        raise MalformedValue(f"eps_cap must be >= {least}, got {eps_cap}")
+
+
+def pair_depth(total: int, n: int, depth):
+    """The depth a pair extraction of n indices with index sum total runs
+    at, or None for an odd total, whose value is zero at any depth. The
+    default is the budget total + n; a depth below it raises DepthExceeded.
+    """
+    if total % 2:
+        return None
+    budget = total + n
+    if depth is None:
+        return budget
+    if depth < budget:
+        raise DepthExceeded(-budget, depth, "pair extraction")
+    return depth
+
+
+def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> EpsLaurent:
+    """Correlator of m weight-b insertions plus tau_i and tau_j.
+
+    The arguments are checked first (check_pair_args); an odd b*m + i + j
+    then gives zero at any depth, and a depth below default_extract_depth
+    raises DepthExceeded (pair_depth). The cost rule (_on_pass) sends the
+    rest to the completed-cycle pass, exact at any accepted depth and cap,
+    with no rerun, and past it to the recursion's own extract_bij
+    (p1gw.recursion), whose cap is exact at or above the budget.
+    """
+    check_pair_args(b, m, i, j, eps_cap)
+    if pair_depth(b * m + i + j, m + 2, depth) is None:
+        return EPS_ZERO
+    # the rule reads the index sum alone, so no m-tuple is built past it
+    if _on_pass((b * m, i, j)):
+        return completed.pass_correlator((b,) * m + (i, j))[0]
+    from . import recursion
+
+    return recursion.extract_bij(b, m, i, j, depth, eps_cap)

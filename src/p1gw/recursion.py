@@ -23,8 +23,11 @@ vector s <= r, of prod_v C(r_v, s_v) equal terms:
 
 A multiset has prod_v (c_v + 1) sub-keys, not 2^k sublists. With one
 weight b the key (m,) is level m of the equal-weight family and the
-weights are the binomials C(m - 1, t); rm_equal, extract_bij and
-pair_correlator read these levels. A listing is the all-ones
+weights are the binomials C(m - 1, t); rm_equal and this module's
+extract_bij read these levels, and pair_correlator those of several
+weights. p1gw.correlators.extract_bij serves the pair (b, m, i, j) from
+the completed-cycle pass below its cost rule and calls extract_bij here
+past it; oracles.hurwitz always calls it here. A listing is the all-ones
 count vector over its weights as listed: every weight is its own
 coordinate, every split weight is 1 and the split is the listing one
 above. R_K depends only on the multiset of weights, not on their listing
@@ -62,9 +65,10 @@ Depth rule. With ks = the weights + (i, j) and n = m + 2, the
 extraction's budget is the cycle DP's sum(ks) + n = sum over the weights
 w of (w + 1), plus i + j + 2; for equal weights b that is
 (b + 1)m + i + j + 2. extract_bij and pair_correlator raise DepthExceeded
-for a depth D below it before building any level, and at D >= budget
-every coefficient the sum reads is exact. Proof, from the LambdaSeries
-validity depths (p1gw.series):
+for a depth D below it before building any level (pair_depth in
+p1gw.correlators, the check both routes of the served extract_bij
+share), and at D >= budget every coefficient the sum reads is exact.
+Proof, from the LambdaSeries validity depths (p1gw.series):
 
   * No level has a positive power: [lam^(u+1) R, R] = 0, so by Leibniz the
     (+) in the level sum may be read as -(-), and every bracket has
@@ -189,7 +193,9 @@ from .eps import (
     graded_width,
     scaled_rows,
 )
-from .errors import DepthExceeded, IndexOutOfRange, MalformedValue
+# default_extract_depth is named here too, beside the extraction it budgets
+from .correlators import check_pair_args, default_extract_depth, pair_depth  # noqa: F401
+from .errors import IndexOutOfRange, MalformedValue
 from .rational import factorial, splits
 from .resolvent import resolvent_bundle
 from .series import INF, LambdaSeries, Mat2
@@ -357,9 +363,9 @@ def _rational(levels: _Levels, key, k: int) -> Mat2:
     )
 
 
-def _check_cap(eps_cap, least=0):
-    if eps_cap is not None and eps_cap < least:
-        raise MalformedValue(f"eps_cap must be >= {least}, got {eps_cap}")
+def _check_cap(eps_cap):
+    if eps_cap is not None and eps_cap < 0:
+        raise MalformedValue(f"eps_cap must be >= 0, got {eps_cap}")
 
 
 def r_family(weights, depth: int, eps_cap=None) -> Mat2:
@@ -391,11 +397,6 @@ def rm_equal(b: int, m: int, depth: int, eps_cap=None) -> Mat2:
         raise MalformedValue("depth must be >= 0")
     _check_cap(eps_cap)
     return _rational(_levels((b,), (m,), depth, eps_cap), (m,), m)
-
-
-def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
-    """The pair's spend budget sum(ks) + n, the least sound depth."""
-    return (b + 1) * m + i + j + 2
 
 
 def _pair_sum(levels, key, hi, lo, grade, read=lambda x, p: x):
@@ -448,37 +449,28 @@ def _extract(levels: _Levels, weights, key, i, j) -> EpsLaurent:
 
 
 def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> EpsLaurent:
-    """Correlator of m weight-b insertions plus tau_i and tau_j.
+    """Correlator of m weight-b insertions plus tau_i and tau_j, by the
+    recursion, whatever the cost rule.
 
-    The generating identity only sums over i, j >= 1; whether its shallow
-    slots also carry tau_0 data is not something this engine will guess.
-    An odd b*m + i + j gives zero at any depth; otherwise a depth below
-    default_extract_depth raises DepthExceeded. An eps_cap below
-    default_extract_depth, the highest eps exponent any genus term reads
-    before normalization, raises MalformedValue.
+    The contract is p1gw.correlators.extract_bij's, whose checks it runs:
+    the generating identity only sums over i, j >= 1, and whether its
+    shallow slots also carry tau_0 data is not something this engine will
+    guess. An eps_cap below default_extract_depth raises MalformedValue;
+    an odd b*m + i + j gives zero at any depth; otherwise a depth below
+    default_extract_depth raises DepthExceeded.
     """
-    if i < 1 or j < 1:
-        raise IndexOutOfRange(f"extraction needs i, j >= 1, got ({i}, {j})")
-    if b < 1:
-        raise IndexOutOfRange(f"recursion route needs weight >= 1, got {b}")
-    if m < 0:
-        raise MalformedValue(f"level must be >= 0, got {m}")
-    _check_cap(eps_cap, default_extract_depth(b, m, i, j))
+    check_pair_args(b, m, i, j, eps_cap)
     return _pair((b,), (m,), i, j, depth, eps_cap)
 
 
 def _pair(weights, key, i, j, depth, cap) -> EpsLaurent:
     """The pair (i, j) over the count vector key of weights, its levels
-    eps-capped at cap: zero at any depth for an odd index sum; else run at
-    depth, by default the budget sum(c(w + 1)) + i + j + 2, and a depth
-    below the budget raises DepthExceeded."""
-    if (sum(c * w for w, c in zip(weights, key)) + i + j) % 2:
-        return EPS_ZERO
-    budget = sum(c * (w + 1) for w, c in zip(weights, key)) + i + j + 2
+    eps-capped at cap, at the depth p1gw.correlators.pair_depth gives:
+    zero for an odd index sum, else by default the budget
+    sum(c(w + 1)) + i + j + 2."""
+    depth = pair_depth(sum(c * w for w, c in zip(weights, key)) + i + j, sum(key) + 2, depth)
     if depth is None:
-        depth = budget
-    elif depth < budget:
-        raise DepthExceeded(-budget, depth, "pair extraction")
+        return EPS_ZERO
     return _extract(_levels(weights, key, depth, cap), weights, key, i, j)
 
 

@@ -1,6 +1,7 @@
 """Correlator engines: one-point series and cycle sums."""
 
 import itertools
+import re
 from unittest import mock
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import n_point_product, s_power_squaring, two_point_product
-from p1gw import completed, correlators, eps, recursion
+from p1gw import completed, correlators, eps, recursion, resolvent
 from p1gw.correlators import (
     correlator,
     default_depth,
+    default_extract_depth,
+    extract_bij,
     n_point,
     one_point,
     split_by_genus,
@@ -23,6 +26,7 @@ from p1gw.errors import (
     DepthExceeded,
     IndexOutOfRange,
     MalformedValue,
+    P1GWError,
     UnstableExtraction,
 )
 from p1gw.rational import Rat, factorial
@@ -215,7 +219,7 @@ def test_unstable_explicit_depth_in_correlator():
 
 def test_two_point_cancellation_probe_fires_on_corruption():
     # a unit spike at lam^-1 in the (1,1) entry, as in a corrupted resolvent
-    orig = correlators.entry_table
+    orig = resolvent.entry_table
 
     def bad(depth):
         table = dict(orig(depth))
@@ -225,7 +229,7 @@ def test_two_point_cancellation_probe_fires_on_corruption():
 
     correlators._scaled_table.cache_clear()
     try:
-        with mock.patch.object(correlators, "entry_table", bad):
+        with mock.patch.object(resolvent, "entry_table", bad):
             for ks in [(0, 0), (2, 2), (4, 0), (0, 4)]:
                 with pytest.raises(CancellationFailure):
                     two_point(*ks, depth=8)
@@ -398,3 +402,80 @@ def test_stability_check_reruns_the_served_route():
     with mock.patch.object(recursion, "pair_correlator", drifting_pair):
         with pytest.raises(UnstableExtraction, match=r"\(18, 18\) changed between depths 40 and 44$"):
             correlator((18, 18))
+
+
+# extract_bij: the same cost rule as correlator(), with the recursion's contract
+
+_PAIR_GRID = list(itertools.product((1, 2, 3), range(4), range(1, 5), range(1, 5)))
+# past the rule, d_max = (b*m + i + j) / 2 + 1 > PASS_DEGREE
+_PAST_RULE = [(6, 3, 8, 8), (5, 4, 8, 6), (1, 0, 18, 18), (2, 1, 18, 16)]
+
+
+def _is_on_pass(b, m, i, j):
+    return correlators._on_pass((b,) * m + (i, j))
+
+
+def test_extract_bij_equals_the_recursion_on_both_sides_of_the_rule():
+    assert all(_is_on_pass(*case) for case in _PAIR_GRID)
+    assert not any(_is_on_pass(*case) for case in _PAST_RULE)
+    for case in _PAIR_GRID + _PAST_RULE:
+        assert extract_bij(*case) == recursion.extract_bij(*case), case
+    for case in [(2, 1, 2, 2), (3, 3, 4, 1), (1, 0, 3, 3)] + _PAST_RULE[2:]:
+        budget = default_extract_depth(*case)
+        want = recursion.extract_bij(*case)
+        for depth, cap in ((budget, None), (budget + 3, budget), (None, budget + 2)):
+            assert extract_bij(*case, depth=depth, eps_cap=cap) == want, (case, depth, cap)
+
+
+_INVALID_PAIRS = [
+    ((0, 1, 1, 1), {}),
+    ((1, 1, 0, 1), {}),
+    ((1, 1, 1, 0), {}),
+    ((0, -1, 0, 0), {}),  # i, j are checked before b and m
+    ((0, -1, 1, 1), {}),
+    ((2, -1, 1, 1), {}),
+    ((1, 4, 1, 1), {"eps_cap": 3}),
+    ((1, 1, 1, 1), {"eps_cap": 5, "depth": 1}),  # the cap before the odd-sum shortcut
+    ((1, 2, 1, 1), {"eps_cap": -1}),
+    ((2, 1, 2, 2), {"depth": 8}),  # the budget is 9
+    ((2, 1, 2, 2), {"depth": -1}),
+    ((6, 3, 8, 8), {"depth": 38}),  # past the rule; the budget is 39
+    ((6, 3, 8, 8), {"eps_cap": 38}),
+]
+
+
+def test_extract_bij_errors_match_the_recursion():
+    for args, kwargs in _INVALID_PAIRS:
+        with pytest.raises(P1GWError) as want:
+            recursion.extract_bij(*args, **kwargs)
+        # every check runs before either engine
+        with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
+            completed, "pass_correlator", side_effect=AssertionError
+        ):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$") as got:
+                extract_bij(*args, **kwargs)
+            assert type(got.value) is type(want.value), (args, kwargs)
+    with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
+        completed, "pass_correlator", side_effect=AssertionError
+    ):
+        # an odd index sum is zero at any depth, on both sides of the rule,
+        # and at once for any level m
+        for case, depth in (
+            ((1, 2, 1, 2), -3),
+            ((2, 3, 1, 2), 1),
+            ((5, 5, 9, 9), None),
+            ((1, 10**12 + 1, 1, 1), None),
+        ):
+            assert extract_bij(*case, depth=depth) == EPS_ZERO
+
+
+def test_extract_bij_takes_one_route_on_each_side_of_the_rule():
+    inside = [(1, 4, 5, 3), (4, 3, 2, 2), (2, 0, 1, 1)]
+    want = {case: recursion.extract_bij(*case) for case in inside + _PAST_RULE[:2]}
+    with mock.patch.object(recursion, "_levels", side_effect=AssertionError):
+        for case in inside:
+            assert extract_bij(*case) == want[case], case
+            assert extract_bij(*case, depth=default_extract_depth(*case) + 3) == want[case], case
+    with mock.patch.object(completed, "pass_correlator", side_effect=AssertionError):
+        for case in _PAST_RULE[:2]:
+            assert extract_bij(*case) == want[case], case

@@ -8,7 +8,7 @@ import pytest
 from p1gw import cli, completed, oracles
 from p1gw.correlators import default_depth, two_point
 from p1gw.errors import IdentityViolation, IndexOutOfRange, MalformedValue
-from p1gw.rational import Rat, factorial
+from p1gw.rational import Rat, factorial, rat_from_str
 from p1gw import reference
 
 
@@ -133,6 +133,19 @@ def test_hurwitz_values_and_validation():
         oracles.hurwitz(0, 1)
     with pytest.raises(MalformedValue):
         oracles.hurwitz(-1, 3)
+
+
+def test_hurwitz_oracle_never_runs_the_completed_cycle_pass(capsys):
+    # the counts `p1gw hurwitz` prints come from the pass; the oracle must
+    # reach them on the recursion alone to check it
+    assert cli.main(["hurwitz", "--n-max", "6"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 9
+    with mock.patch.object(completed, "_sums", side_effect=AssertionError), mock.patch.object(
+        completed, "pass_correlator", side_effect=AssertionError
+    ):
+        for row in rows:
+            assert oracles.hurwitz(row["g"], row["d"]) == rat_from_str(row["count"]), row
 
 
 def test_verify_suites_all_green():

@@ -30,13 +30,48 @@ def _python(*args):
 # ------------------------------------------------------------ import footprint
 
 
+# the modules that load on first use (p1gw/__init__)
+ON_DEMAND = ("p1gw.oracles", "p1gw.recursion", "p1gw.reference", "p1gw.resolvent", "p1gw.series")
+
+
+def _loaded(names):
+    return f"print(' '.join(m for m in {names!r} if m in sys.modules))"
+
+
 def test_import_loads_the_engines_and_not_the_oracle_layer():
-    probe = ("import sys, p1gw; print(' '.join(m for m in ('dataclasses', 'inspect', "
-             "'p1gw.oracles', 'p1gw.reference', 'p1gw.completed', 'p1gw.correlators', "
-             "'p1gw.recursion') if m in sys.modules))")
+    engines = ("dataclasses", "inspect", "p1gw.completed", "p1gw.correlators")
+    probe = "import sys, p1gw; " + _loaded(engines + ON_DEMAND)
     proc = _python("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["p1gw.completed", "p1gw.correlators", "p1gw.recursion"]
+    assert proc.stdout.split() == ["p1gw.completed", "p1gw.correlators"]
+
+
+# what the library benchmark workloads time: the flagships, an odd-sum
+# shape, one-point, small multi-point correlators, the four tables, and
+# extract_bij below the cost rule
+_TIMED = """
+import sys, p1gw
+for ks in [(1,) * 6, (2,) * 5, (3,) * 4, (4, 4, 4), (6, 6), (2, 1, 1, 1, 1, 1), (12, 0),
+           (5, 4, 3), (3, 3, 2, 2), (2, 2, 1, 1, 0)] + [(k,) for k in range(40)]:
+    p1gw.correlator(ks)
+for b, n in ((1, 12), (2, 8), (3, 4), (4, 3)):
+    p1gw.polygon_table(b, n)
+for case in ((1, 4, 5, 3), (2, 3, 2, 5), (4, 1, 5, 1), (3, 1, 2, 3)):
+    p1gw.extract_bij(*case)
+"""
+
+
+def test_nothing_timed_loads_the_recursion_stack():
+    proc = _python("-c", _TIMED + _loaded(ON_DEMAND))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+    # the first shape past the rule loads the recursion, which reads the resolvent
+    proc = _python("-c", _TIMED + "p1gw.correlator((18, 18)); " + _loaded(ON_DEMAND))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["p1gw.recursion", "p1gw.resolvent", "p1gw.series"]
+    proc = _python("-c", "import sys, p1gw; p1gw.rm_equal; " + _loaded(ON_DEMAND))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["p1gw.recursion", "p1gw.resolvent", "p1gw.series"]
 
 
 def test_cli_process_exit_codes_and_imports():
@@ -46,8 +81,8 @@ def test_cli_process_exit_codes_and_imports():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["insertions"] == [2, 2]
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "p1gw.recursion" in imported
-    assert not imported & {"p1gw.oracles", "p1gw.reference", "dataclasses"}
+    assert "p1gw.correlators" in imported
+    assert not imported & {"dataclasses", *ON_DEMAND}
 
 
 # ------------------------------------------------------------ public surface
