@@ -13,16 +13,17 @@ oracle layer (closed product and binomial-sum formulas, generating-function
 identities, large-genus asymptotics) cross-checks everything it can reach.
 
 Two engines load with the package: the completed-cycle pass
-(p1gw.completed) and the router with its closed forms and cycle DP
-(p1gw.correlators). Below the cost rule they serve correlator(),
-extract_bij and polygon_table alone, so that importing them falls on
-`import p1gw` and never on a call a caller times. The commutator
-recursion, the resolvent and its series (p1gw.recursion, p1gw.resolvent,
-p1gw.series), which only shapes past the rule and the cycle DP read, and
-the oracle layer (p1gw.oracles and the frozen tables of p1gw.reference)
-load on first use: the first call past the rule or the first cycle DP
-imports what it reads, and the module __getattr__ binds their public
-names on first access.
+(p1gw.completed) and the router with its closed forms (p1gw.correlators).
+Below the cost rule they serve correlator(), extract_bij and polygon_table
+alone, so that importing them falls on `import p1gw` and never on a call a
+caller times. Everything else loads on first use: the cycle DP with the
+packed-integer form it runs on (p1gw.cycle, p1gw.packed), which
+two_point, n_point and the oracles read; the commutator recursion
+(p1gw.recursion), which only shapes past the rule read; the resolvent and
+its series (p1gw.resolvent, p1gw.series), which both of those read; and
+the oracle layer (p1gw.oracles and the frozen tables of p1gw.reference).
+The first call that needs one imports it, and the module __getattr__
+binds their public names on first access.
 """
 
 from .completed import PolygonTable, polygon_table
@@ -30,10 +31,8 @@ from .correlators import (
     CorrelatorRecord,
     correlator,
     extract_bij,
-    n_point,
     one_point,
     split_by_genus,
-    two_point,
 )
 from .eps import EpsLaurent
 from .errors import (
@@ -107,11 +106,12 @@ _LAZY_NAMES = {
         ),
         "oracles",
     ),
+    **dict.fromkeys(("n_point", "two_point"), "cycle"),
     **dict.fromkeys(("r_family", "rm_equal"), "recursion"),
     **dict.fromkeys(("ResolventBundle", "build_resolvent", "resolvent_bundle"), "resolvent"),
     **dict.fromkeys(("LambdaSeries", "Mat2"), "series"),
 }
-_LAZY_MODULES = ("oracles", "recursion", "reference", "resolvent", "series")
+_LAZY_MODULES = ("cycle", "oracles", "packed", "recursion", "reference", "resolvent", "series")
 
 
 def __getattr__(name):

@@ -17,8 +17,8 @@ from .errors import (
     P1GWError,
     UnstableExtraction,
 )
-from .rational import decimal_str, rat_str
-from .render import FORMATS, eps_poly_str, eps_series_obj, render_rows, to_json
+from .rational import rat_str
+from .render import FORMATS, decimal_str, eps_poly_str, eps_series_obj, render_rows, to_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

@@ -12,18 +12,20 @@ possible with the machinery it checks:
 
 All values are exact rationals.  Decimals appear only in display strings,
 rendered by integer long division, never through floats.
+
+Each check imports the engines it reads (the cycle DP, the recursion, the
+resolvent and its series) inside itself, so a check on closed forms or on
+the served route alone loads none of them.
 """
 
 from typing import NamedTuple
 
 from .completed import polygon_table
-from .correlators import correlator, n_point, one_point, two_point
+from .correlators import correlator, one_point
 from .eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from .errors import IdentityViolation, IndexOutOfRange, MalformedValue, P1GWError
-from .rational import ONE, Rat, ZERO, binomial, decimal_str, factorial, rat_str
-from .recursion import extract_bij
-from .resolvent import resolvent_bundle
-from .series import INF, LambdaSeries
+from .rational import ONE, Rat, ZERO, binomial, factorial, rat_str
+from .render import decimal_str
 from . import reference
 
 
@@ -103,7 +105,9 @@ def _mono(p, q, e) -> EpsLaurent:
     return EpsLaurent.monomial(Rat(p, q), e)
 
 
-def _const_series(c: EpsLaurent) -> LambdaSeries:
+def _const_series(c: EpsLaurent):
+    from .series import INF, LambdaSeries
+
     return LambdaSeries.from_eps(c, INF)
 
 
@@ -128,6 +132,8 @@ def _rhs_i3(a, b, c):
 
 
 def _rhs_i4(a, b, c):
+    from .series import INF, LambdaSeries
+
     lin = LambdaSeries({1: EpsLaurent.const(Rat(2))}, INF)
     return (
         lin
@@ -197,6 +203,9 @@ def identity_check(ident: str, depth: int = 12) -> IdentityReport:
 
     Raises IdentityViolation naming the first differing coefficient.
     """
+    from .cycle import n_point, two_point
+    from .resolvent import resolvent_bundle
+
     if ident not in IDENTITIES:
         raise MalformedValue(f"unknown identity {ident!r}; choose from {IDENTITY_IDS}")
     if depth < 4:
@@ -239,6 +248,8 @@ class TraceDetReport(NamedTuple):
 
 def trace_det_check(depth: int = 20) -> TraceDetReport:
     """Trace must be exactly 1 and determinant exactly 0 through -depth."""
+    from .resolvent import resolvent_bundle
+
     if depth < 0:
         raise MalformedValue(f"depth must be >= 0, got {depth}")
     r = resolvent_bundle(depth).r
@@ -288,6 +299,8 @@ def _pair_value(k: int, g: int, d: int):
     partner = 2 * g + 2 * d - k - 2
     if partner < 0:
         raise MalformedValue(f"no partner index at k={k}, g={g}, d={d}")
+    from .cycle import two_point
+
     return two_point(k, partner).coeff(2 * g - 2)
 
 
@@ -334,6 +347,8 @@ def hurwitz(g: int, d: int):
     `p1gw hurwitz` command reads the completed-cycle table instead, so
     each route checks the other.
     """
+    from .recursion import extract_bij
+
     n = 2 * g + 2 * d - 2
     if g < 0 or d < 1 or n < 1:
         raise MalformedValue(
@@ -364,6 +379,8 @@ def verify_identities(depth: int = 12) -> dict:
 
 
 def verify_degree1() -> dict:
+    from .cycle import two_point
+
     checks = 0
     failures = []
 

@@ -50,52 +50,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def decimal_str(x, sig: int = 12) -> str:
-    """Decimal rendering of a rational, correct to sig significant digits.
-
-    Pure integer arithmetic (no float round trip), round half away from
-    zero. Display only; data paths keep exact rationals.
-    """
-    if sig < 1:
-        raise ValueError(f"need at least one significant digit, got {sig}")
-    num, den = int(x.numerator), int(x.denominator)
-    if num == 0:
-        return "0"
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-
-    # decimal exponent e with 10^e <= num/den < 10^(e+1)
-    def at_least(exp):
-        if exp >= 0:
-            return num >= den * 10**exp
-        return num * 10 ** (-exp) >= den
-    e = len(str(num)) - len(str(den))
-    while at_least(e + 1):
-        e += 1
-    while not at_least(e):
-        e -= 1
-
-    shift = sig - 1 - e
-    if shift >= 0:
-        q, r = divmod(num * 10**shift, den)
-    else:
-        q, r = divmod(num, den * 10 ** (-shift))
-    if 2 * r >= (den if shift >= 0 else den * 10 ** (-shift)):
-        q += 1
-        if q == 10**sig:  # rounding overflowed into one more digit
-            q //= 10
-            e += 1
-    digits = str(q).ljust(sig, "0")
-
-    if 0 <= e < sig:
-        whole, frac = digits[: e + 1], digits[e + 1 :].rstrip("0")
-        return sign + whole + ("." + frac if frac else "")
-    if -4 <= e < 0:
-        return sign + "0." + "0" * (-e - 1) + digits.rstrip("0")
-    mant = digits[0] + ("." + digits[1:].rstrip("0") if digits[1:].rstrip("0") else "")
-    return f"{sign}{mant}e{e:+d}"
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient, zero outside 0 <= k <= n."""
     if k < 0 or k > n:

@@ -106,8 +106,8 @@ one; pair_correlator passes the budget itself. Plain r_family /
 rm_equal calls keep full coefficients unless given a cap.
 
 Exact integer kernel. Both recursions and the extraction run on the graded
-packed form of eps-polynomials (p1gw.eps states the scale/pack/unpack/width
-proof and the graded form). The base is the resolvent at the given depth,
+packed form of eps-polynomials (p1gw.packed states the scale/pack/unpack/
+width proof and the graded form). The base is the resolvent at the given depth,
 eps-capped as it is scaled by L. _scaled_base(depth, cap) builds the
 scaled integer base and its norm base once per (depth, cap), in a bounded
 LRU cache (64 entries), and every level lookup at that depth and cap
@@ -183,9 +183,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .eps import (
-    EPS_ZERO,
-    EpsLaurent,
+from .eps import EPS_ZERO, EpsLaurent
+from .packed import (
     graded_from_packed,
     graded_pack,
     graded_repack,
@@ -285,7 +284,7 @@ class _Levels(NamedTuple):
 
     packed[key] is L**(k+1) times the true matrix of a count vector key
     over weights with k weights in all (L = scale, from the scaled base),
-    each eps-polynomial in graded form at block width `width` (p1gw.eps),
+    each eps-polynomial in graded form at block width `width` (p1gw.packed),
     its parity given by its position (grade); norms[key] is the norm pass
     of the same key. Both hold every sub-key of the lookup's key, which the
     pair sum reads; width comes from their largest norm entry. Nothing

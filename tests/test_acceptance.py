@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from p1gw import oracles, reference
 from p1gw.completed import polygon_table
 from p1gw.correlators import (
-    _evaluate,
     correlator,
     default_depth,
     n_point,
     one_point,
     two_point,
 )
+from p1gw.cycle import _evaluate
 from p1gw.eps import EPS_ZERO
 from p1gw.rational import Rat, factorial
 from p1gw.recursion import extract_bij, r_family

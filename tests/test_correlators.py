@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import n_point_product, s_power_squaring, two_point_product
-from p1gw import completed, correlators, eps, recursion, resolvent
+from p1gw import completed, correlators, cycle, eps, recursion, resolvent
 from p1gw.correlators import (
     correlator,
     default_depth,
@@ -20,7 +20,8 @@ from p1gw.correlators import (
     split_by_genus,
     two_point,
 )
-from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent, pack, repack, unpack
+from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
+from p1gw.packed import pack, repack, unpack
 from p1gw.errors import (
     CancellationFailure,
     DepthExceeded,
@@ -130,7 +131,7 @@ def test_n_point_odd_total_vanishes():
     assert n_point((2, 2, 1)) == EPS_ZERO
     # correlator returns an odd sum's zero without running the cycle DP,
     # with the depth and stability flag it would have reported
-    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+    with mock.patch.object(cycle, "_cycle_sum", side_effect=AssertionError):
         rec = correlator((1,) * 7)
         assert (rec.value, rec.by_genus) == (EPS_ZERO, ())
         assert (rec.depth_used, rec.stability_verified) == (default_depth((1,) * 7), True)
@@ -227,25 +228,25 @@ def test_two_point_cancellation_probe_fires_on_corruption():
         table[-1] = (a + EPS_ONE, b, c, d)
         return table
 
-    correlators._scaled_table.cache_clear()
+    cycle._scaled_table.cache_clear()
     try:
         with mock.patch.object(resolvent, "entry_table", bad):
             for ks in [(0, 0), (2, 2), (4, 0), (0, 4)]:
                 with pytest.raises(CancellationFailure):
                     two_point(*ks, depth=8)
     finally:
-        correlators._scaled_table.cache_clear()
+        cycle._scaled_table.cache_clear()
 
 
 def test_n_point_probe_fires_when_shallow_sum_survives():
-    orig = correlators._cycle_sum
+    orig = cycle._cycle_sum
 
     def bad(targets, depth):
         if any(t > -2 for t in targets):
             return EpsLaurent.const(1)
         return orig(targets, depth)
 
-    with mock.patch.object(correlators, "_cycle_sum", bad):
+    with mock.patch.object(cycle, "_cycle_sum", bad):
         with pytest.raises(CancellationFailure):
             n_point((0, 0, 0), depth=8)
 
@@ -255,11 +256,11 @@ def test_two_point_probe_reads_exactly_the_disconnected_term():
     for k0 in range(7):
         for k1 in range(4):
             depth = default_depth((k0, k1))
-            for v, p in correlators._probe_plan(2):
+            for v, p in cycle._probe_plan(2):
                 probe = [-k0 - 2, -k1 - 2]
                 probe[v] = -p
-                z = correlators._disconnected(probe)
-                assert correlators._cycle_sum(tuple(probe), depth) == z
+                z = cycle._disconnected(probe)
+                assert cycle._cycle_sum(tuple(probe), depth) == z
                 nonzero += bool(z)
     # only slot 1 at exponent 0 against slot 0 at index 0 meets the term
     assert nonzero == 4
@@ -274,7 +275,7 @@ def test_default_depth_covers_all_contributions():
 def _laurent_cycle_sum(targets, depth):
     # reference: the same DP body over the exact rational entry table; its
     # int seeds and zeros act on EpsLaurent as scalars
-    return EPS_ZERO + correlators._seed_total(targets, depth, entry_table(depth), True)
+    return EPS_ZERO + cycle._seed_total(targets, depth, entry_table(depth), True)
 
 
 def _cycle_case(ks, draw):
@@ -296,7 +297,7 @@ _CYCLE_KS = st.lists(st.integers(0, 5), min_size=3, max_size=4).filter(lambda ks
 @given(_CYCLE_KS, st.data())
 def test_packed_cycle_sum_matches_rational_dp(ks, data):
     targets, depth = _cycle_case(ks, data.draw)
-    assert correlators._cycle_sum(targets, depth) == _laurent_cycle_sum(targets, depth)
+    assert cycle._cycle_sum(targets, depth) == _laurent_cycle_sum(targets, depth)
 
 
 def test_pack_round_trip():
@@ -318,12 +319,12 @@ def test_flagship_packing_width_is_proven():
             continue
         targets = tuple(-k - 2 for k in ks)
         depth = default_depth(ks)
-        res = correlators._packed_cycle_sum(targets, depth)
+        res = cycle._packed_cycle_sum(targets, depth)
         assert res.width == res.bound.bit_length() + 2
         coeffs = unpack(res.packed, res.width)
         assert coeffs and all(abs(c) <= res.bound for c in coeffs), ks
         assert pack(coeffs, res.width) == res.packed
-        assert correlators._cycle_sum(targets, depth) == _laurent_cycle_sum(targets, depth), ks
+        assert cycle._cycle_sum(targets, depth) == _laurent_cycle_sum(targets, depth), ks
         checked += 1
     assert checked == 4
 
@@ -340,14 +341,14 @@ _SERVED_KS = st.lists(st.integers(0, 5), min_size=2, max_size=6).filter(
 @given(_SERVED_KS)
 def test_served_route_matches_the_cycle_dp(ks):
     ks = tuple(sorted(ks, reverse=True))
-    assert correlator(ks).value == correlators._evaluate(ks, default_depth(ks), True)
+    assert correlator(ks).value == cycle._evaluate(ks, default_depth(ks), True)
 
 
 @pytest.mark.parametrize(
     "ks", [(0,), (0, 0), (0, 0, 0), (6, 0), (5, 2, 1, 0), (2, 2, 1, 1), (3, 2, 2, 1)]
 )
 def test_served_route_explicit_cases(ks):
-    want = correlators._evaluate(ks, default_depth(ks), True)
+    want = cycle._evaluate(ks, default_depth(ks), True)
     assert correlator(ks).value == want
     budget = sum(ks) + len(ks)
     for stability in (True, False):
@@ -367,7 +368,7 @@ def test_divisor_equation_scales_each_genus_by_its_degree():
 
 
 def test_served_route_never_runs_the_cycle_dp():
-    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+    with mock.patch.object(cycle, "_cycle_sum", side_effect=AssertionError):
         for ks in [(1,) * 6, (3, 2, 2, 1), (6, 6), (4, 0, 0), (0,) * 8]:
             correlator(ks)
         assert correlator((2, 2, 2), depth=12).stability_verified
@@ -378,7 +379,7 @@ def test_direct_engines_never_call_the_recursion():
     with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
         recursion, "pair_correlator", side_effect=AssertionError
     ), mock.patch.object(completed, "pass_correlator", side_effect=AssertionError):
-        got = [two_point(3, 1), n_point((2, 1, 1, 0)), correlators._evaluate((2, 2), 8, True)]
+        got = [two_point(3, 1), n_point((2, 1, 1, 0)), cycle._evaluate((2, 2), 8, True)]
     assert got == want
 
 

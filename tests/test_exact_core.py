@@ -8,27 +8,24 @@ from hypothesis import strategies as st
 
 from brute_force import s_power_squaring
 from p1gw import eps
-from p1gw.eps import (
-    EPS_ONE,
-    EPS_ZERO,
-    EpsLaurent,
+from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent, s_power
+from p1gw.errors import MalformedValue
+from p1gw.packed import (
     graded_from_packed,
     graded_pack,
     graded_repack,
     graded_trim,
     graded_unpack,
     graded_width,
-    s_power,
 )
-from p1gw.errors import MalformedValue
 from p1gw.rational import (
     Rat,
     binomial,
-    decimal_str,
     factorial,
     rat_from_str,
     rat_str,
 )
+from p1gw.render import decimal_str
 
 
 def test_rat_normalizes():

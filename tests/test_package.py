@@ -31,7 +31,8 @@ def _python(*args):
 
 
 # the modules that load on first use (p1gw/__init__)
-ON_DEMAND = ("p1gw.oracles", "p1gw.recursion", "p1gw.reference", "p1gw.resolvent", "p1gw.series")
+ON_DEMAND = ("p1gw.cycle", "p1gw.oracles", "p1gw.packed", "p1gw.recursion", "p1gw.reference",
+             "p1gw.resolvent", "p1gw.series")
 
 
 def _loaded(names):
@@ -65,24 +66,67 @@ def test_nothing_timed_loads_the_recursion_stack():
     proc = _python("-c", _TIMED + _loaded(ON_DEMAND))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
-    # the first shape past the rule loads the recursion, which reads the resolvent
+    # the first shape past the rule loads the recursion, which reads the
+    # resolvent and the packed form, and not the cycle DP
+    recursion_stack = ["p1gw.packed", "p1gw.recursion", "p1gw.resolvent", "p1gw.series"]
     proc = _python("-c", _TIMED + "p1gw.correlator((18, 18)); " + _loaded(ON_DEMAND))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["p1gw.recursion", "p1gw.resolvent", "p1gw.series"]
+    assert proc.stdout.split() == recursion_stack
     proc = _python("-c", "import sys, p1gw; p1gw.rm_equal; " + _loaded(ON_DEMAND))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["p1gw.recursion", "p1gw.resolvent", "p1gw.series"]
+    assert proc.stdout.split() == recursion_stack
+
+
+def test_the_cycle_dp_loads_on_first_use_without_the_recursion():
+    cycle_stack = ["p1gw.cycle", "p1gw.packed", "p1gw.resolvent", "p1gw.series"]
+    for call in ("p1gw.two_point(2, 2)", "p1gw.correlators.n_point((1, 1, 1, 1))"):
+        proc = _python("-c", f"import sys, p1gw; {call}; " + _loaded(ON_DEMAND))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == cycle_stack, call
+
+
+def _importtime(*argv):
+    # -X importtime names on stderr every module the process imports
+    proc = _python("-X", "importtime", "-m", "p1gw.cli", *argv)
+    return proc, {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def _cli_loaded(*argv):
+    # -X importtime does not name a module that importlib loads, as the
+    # package __getattr__ does, so this reads sys.modules after cli.main
+    probe = ("import contextlib, io, sys; from p1gw import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({list(argv)!r})\n"
+             "print(code); " + _loaded(ON_DEMAND + ("csv", "json")))
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0", argv
+    return loaded
 
 
 def test_cli_process_exit_codes_and_imports():
     assert _python("-m", "p1gw.cli", "frobnicate").returncode == 3
-    # -X importtime names every module the process imports on stderr
-    proc = _python("-X", "importtime", "-m", "p1gw.cli", "correlator", "2", "2")
+    proc, imported = _importtime("correlator", "2", "2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["insertions"] == [2, 2]
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "p1gw.correlators" in imported
-    assert not imported & {"dataclasses", *ON_DEMAND}
+    assert not imported & {"csv", "dataclasses", *ON_DEMAND}
+    assert _cli_loaded("correlator", "2", "2") == ["json"]
+    # the closed-form asymptotics and the table and stability suites read
+    # the oracle layer and no engine that loads on demand
+    argv = ("asymptotics", "--k", "0", "--d", "2", "--g-max", "3")
+    proc, imported = _importtime(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "p1gw.oracles" in imported
+    assert imported & set(ON_DEMAND) <= {"p1gw.oracles", "p1gw.reference"}
+    for argv in (argv, ("verify", "tables"), ("verify", "stability")):
+        assert _cli_loaded(*argv) == ["p1gw.oracles", "p1gw.reference", "json"], argv
+    # the markdown and latex renderers and a usage error import neither csv nor json
+    for argv in (("correlator", "2", "2", "--format", "markdown"),
+                 ("asymptotics", "--k", "1", "--d", "2", "--format", "latex"), ("frobnicate",)):
+        _, imported = _importtime(*argv)
+        assert not imported & {"csv", "json"}, argv
 
 
 # ------------------------------------------------------------ public surface

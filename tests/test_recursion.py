@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import windowed_extract
-from p1gw import completed, correlators, recursion
+from p1gw import completed, cycle, recursion
 from p1gw.completed import PolygonTable, polygon_table
 from p1gw.correlators import MAX_POINTS, STABILITY_STEP, correlator, n_point, two_point
-from p1gw.eps import EPS_ZERO, EpsLaurent, graded_unpack
+from p1gw.eps import EPS_ZERO, EpsLaurent
+from p1gw.packed import graded_unpack
 from p1gw.errors import DepthExceeded, IndexOutOfRange, MalformedValue, UnstableExtraction
 from p1gw.rational import Rat, splits
 from p1gw.recursion import MAX_KEY, default_extract_depth, extract_bij, r_family, rm_equal
@@ -176,7 +177,7 @@ def test_polygon_table_weight_zero_routes():
     with pytest.raises(UnstableExtraction):
         polygon_table(0, 4, depth=3)
     # one completed-cycle pass gives every row; no cycle DP runs
-    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+    with mock.patch.object(cycle, "_cycle_sum", side_effect=AssertionError):
         tab = polygon_table(0, 12, g_max=2, depth=15)
     assert tab.depth_used == 15 and not tab.stability_verified
     assert tab.rows[0] == (1, Rat(-1, 24), 0)
@@ -198,7 +199,7 @@ def test_polygon_table_bounds_and_validation():
     with pytest.raises(MalformedValue):
         polygon_table(1, 0)
     # table rows need no cycle DP, so its insertion limit does not bound them
-    with mock.patch.object(correlators, "_cycle_sum", side_effect=AssertionError):
+    with mock.patch.object(cycle, "_cycle_sum", side_effect=AssertionError):
         assert polygon_table(0, MAX_POINTS + 1).rows == ((1,),) * (MAX_POINTS + 1)
     assert isinstance(tab, PolygonTable)
 
@@ -206,7 +207,7 @@ def test_polygon_table_bounds_and_validation():
 def test_polygon_table_runs_neither_the_recursion_nor_the_cycle_dp():
     # every row, weight 0 and row 1 included, comes from the completed-cycle pass
     with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
-        correlators, "_cycle_sum", side_effect=AssertionError
+        cycle, "_cycle_sum", side_effect=AssertionError
     ):
         for b, n_max in ((0, 4), (1, 8), (2, 5), (3, 4), (6, 2)):
             tab = polygon_table(b, n_max)
