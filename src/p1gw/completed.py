@@ -9,8 +9,10 @@ the degree:
     <prod_i tau_{k_i}>*_d = sum_{|lam| = d} (dim lam / d!)^2 prod_i p_{k_i+1}(lam) / (k_i + 1)!,
     p_k(lam) = sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k] + (1 - 2^-k) zeta(-k),
 
-with zeta(-k) = -B_{k+1} / (k + 1). The genus of every term is pinned by
-the dimension constraint, so each series is a power series in q alone.
+with zeta(-k) = -B_{k+1} / (k + 1), which is zero for even k >= 2; for
+odd k, B_{k+1} is read off the tangent numbers (rational.bernoulli_even).
+The genus of every term is pinned by the dimension constraint, so each
+series is a power series in q alone.
 
 Count vectors. The insertions are a multiset: c_v copies of each distinct
 weight w_v, listed largest first. One pass serves every sub-key s <= c
@@ -84,7 +86,7 @@ from typing import NamedTuple
 
 from .eps import EPS_ZERO, EpsLaurent
 from .errors import IndexOutOfRange, MalformedValue, UnstableExtraction
-from .rational import Rat, ZERO, binomial, factorial, splits
+from .rational import Rat, ZERO, bernoulli_even, binomial, factorial, splits
 
 STABILITY_STEP = 4
 PASS_DEGREE = 17  # the cost rule: correlator() sends d_max <= PASS_DEGREE here
@@ -106,12 +108,14 @@ class PolygonTable(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _zeta_term(k: int):
-    """(num, den) with num / den = (2^k - 1) zeta(-k) in lowest terms."""
-    bern = [Rat(1)]  # B_0..B_{k+1} by sum_{j <= n} C(n + 1, j) B_j = 0
-    for n in range(1, k + 2):
-        bern.append(-sum(binomial(n + 1, j) * bern[j] for j in range(n)) / (n + 1))
-    c = (2**k - 1) * -bern[k + 1] / (k + 1)
-    return int(c.numerator), int(c.denominator)
+    """(num, den) with num / den = (2^k - 1) zeta(-k) in lowest terms.
+
+    B_{k+1} = 0 for even k >= 2, and 2^0 - 1 = 0 at k = 0, so an even k
+    gives (0, 1)."""
+    if k % 2 == 0:
+        return 0, 1
+    c = (2**k - 1) * -bernoulli_even((k + 1) // 2) / (k + 1)
+    return c.numerator, c.denominator
 
 
 def _unit(k: int) -> int:

@@ -2,12 +2,17 @@
 
 One engine here, for a single insertion:
 
-  * one_point: closed evaluation through powers of the core even series
-    S: genus g, at degree d = (k + 2 - 2g) / 2, is [eps^(2g)] S**(2d-1)
-    / (d!)^2, read off the shared S-power table of p1gw.eps at
-    p = k + 1 - 2g (d = 0 gives p = -1, which the table serves like any
-    other p), so a call evaluates k/2 + 2 polynomials in p and raises no
-    series to a power.
+  * one_point: closed evaluation through powers of the even series
+    S = sinh(eps/2) / (eps/2): genus g, at degree d = (k + 2 - 2g) / 2,
+    is [eps^(2g)] S**p / (d!)^2 with p = 2d - 1 = k + 1 - 2g. The central
+    factorial numbers T(n, p) (Riordan, Combinatorial Identities), with
+    (2 sinh(x/2))^p / p! = sum_n T(n, p) x^n / n!, give
+    [eps^(2g)] S**p = p! T(k + 1, p) / (k + 1)!, so every genus with
+    d >= 1 reads the one row n = k + 1. It is built on the integers
+    V(n, j) = 4^((n-j)/2) T(n, j), by V(n, j) = V(n-2, j-2) + j^2 V(n-2, j)
+    from V(1, 1) = 1. The degree-0 cell, p = -1 and g = k/2 + 1, is
+    [eps^(2g)] (eps/2) / sinh(eps/2) = (2^(1-2g) - 1) B_2g / (2g)!, with
+    B_2g from the tangent numbers (p1gw.rational.bernoulli_even).
 
 The direct engine for 2..8 insertions, the cycle-sum DP (two_point and
 n_point), is in p1gw.cycle, which loads on first use; two_point and
@@ -53,10 +58,11 @@ independent one.
 extract_bij(b, m, i, j), the correlator of (b,)*m + (i, j) with i, j >= 1,
 takes the same rule over those indices: the pass below it, with no rerun,
 and past it the recursion's own extract_bij, whose contract it keeps. The
-checks live here, and the recursion runs them too: the arguments and the
-eps cap first (check_pair_args), then zero for an odd index sum and
-DepthExceeded below the budget (pair_depth). The pass is exact at any
-accepted depth and cap, as the recursion is at or above the budget.
+checks live here, and the recursion runs them too: the arguments first
+(check_pair_args), then zero for an odd index sum and DepthExceeded below
+the budget (pair_depth). The pass is exact at any accepted depth, as the
+recursion is at or above the budget. It takes no eps cap, which the pass
+would never read; the recursion's own extract_bij keeps one.
 
 Nothing below the rule imports the recursion, the resolvent, its series
 or the packed-integer form: the branch past the rule imports
@@ -69,7 +75,7 @@ g contribution, and the degree is pinned by sum(ks) = 2d + 2g - 2.
 
 from typing import NamedTuple
 
-from .eps import EpsLaurent, EPS_ZERO, s_power_coeff
+from .eps import EpsLaurent, EPS_ZERO
 from .errors import (
     DepthExceeded,
     IndexOutOfRange,
@@ -78,7 +84,7 @@ from .errors import (
 )
 from . import completed
 from .completed import PASS_DEGREE, STABILITY_STEP
-from .rational import factorial
+from .rational import Rat, bernoulli_even, factorial
 
 MAX_POINTS = 8
 
@@ -106,12 +112,16 @@ def one_point(k: int) -> EpsLaurent:
         raise IndexOutOfRange(f"insertion index must be >= 0, got {k}")
     if k % 2:
         return EPS_ZERO
+    row = [1]  # row[i] = V(n, 2i + 1), from n = 1 to n = k + 1 (module docstring)
+    for _ in range(k // 2):
+        row = [a + (2 * i + 1) ** 2 * b for i, (a, b) in enumerate(zip([0] + row, row + [0]))]
+    top = factorial(k + 1)
     terms = {}
-    for g in range(k // 2 + 2):
-        d = (k + 2 - 2 * g) // 2
-        c = s_power_coeff(2 * d - 1, g) / factorial(d) ** 2
-        if c:
-            terms[2 * g - 2] = c
+    for g in range(k // 2 + 1):
+        d = k // 2 + 1 - g
+        terms[2 * g - 2] = Rat(factorial(2 * d - 1) * row[d - 1], 4**g * top * factorial(d) ** 2)
+    g = k // 2 + 1
+    terms[2 * g - 2] = (Rat(2, 4**g) - 1) * bernoulli_even(g) / factorial(2 * g)
     return EpsLaurent(terms)
 
 
@@ -238,20 +248,15 @@ def default_extract_depth(b: int, m: int, i: int, j: int) -> int:
     return (b + 1) * m + i + j + 2
 
 
-def check_pair_args(b: int, m: int, i: int, j: int, eps_cap) -> None:
+def check_pair_args(b: int, m: int, i: int, j: int) -> None:
     """extract_bij's argument checks, which the recursion's extract_bij
-    shares: i, j >= 1, b >= 1, m >= 0, and an eps_cap, if given, at or
-    above default_extract_depth, the highest eps exponent any genus term
-    reads before normalization."""
+    shares: i, j >= 1, b >= 1 and m >= 0."""
     if i < 1 or j < 1:
         raise IndexOutOfRange(f"extraction needs i, j >= 1, got ({i}, {j})")
     if b < 1:
         raise IndexOutOfRange(f"recursion route needs weight >= 1, got {b}")
     if m < 0:
         raise MalformedValue(f"level must be >= 0, got {m}")
-    least = default_extract_depth(b, m, i, j)
-    if eps_cap is not None and eps_cap < least:
-        raise MalformedValue(f"eps_cap must be >= {least}, got {eps_cap}")
 
 
 def pair_depth(total: int, n: int, depth):
@@ -269,17 +274,17 @@ def pair_depth(total: int, n: int, depth):
     return depth
 
 
-def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> EpsLaurent:
+def extract_bij(b: int, m: int, i: int, j: int, depth=None) -> EpsLaurent:
     """Correlator of m weight-b insertions plus tau_i and tau_j.
 
     The arguments are checked first (check_pair_args); an odd b*m + i + j
     then gives zero at any depth, and a depth below default_extract_depth
     raises DepthExceeded (pair_depth). The cost rule (_on_pass) sends the
-    rest to the completed-cycle pass, exact at any accepted depth and cap,
-    with no rerun, and past it to the recursion's own extract_bij
-    (p1gw.recursion), whose cap is exact at or above the budget.
+    rest to the completed-cycle pass, exact at any accepted depth, with no
+    rerun, and past it to the recursion's own extract_bij (p1gw.recursion),
+    uncapped.
     """
-    check_pair_args(b, m, i, j, eps_cap)
+    check_pair_args(b, m, i, j)
     if pair_depth(b * m + i + j, m + 2, depth) is None:
         return EPS_ZERO
     # the rule reads the index sum alone, so no m-tuple is built past it
@@ -287,7 +292,7 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
         return completed.pass_correlator((b,) * m + (i, j))[0]
     from . import recursion
 
-    return recursion.extract_bij(b, m, i, j, depth, eps_cap)
+    return recursion.extract_bij(b, m, i, j, depth)
 
 
 def __getattr__(name):

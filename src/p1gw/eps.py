@@ -4,39 +4,11 @@ Correlator values in this package are finite Laurent polynomials in eps with
 exact rational coefficients; the eps exponent 2g-2 labels the genus g part.
 EpsLaurent stores only nonzero terms in a dict keyed by exponent.
 
-Also provides s_power, truncated powers of the even power series
-
-    S = sum_{m>=0} f_m x^m,  f_m = 1 / (4^m (2m+1)!),  x = eps^2,
-
-including negative powers, which the one-point evaluator needs for its
-degree-zero layer.
-
-S-power table. h_n(p) = [x^n] S**p is read off J.C.P. Miller's power
-recurrence
-
-    h_0 = 1,  n h_n = sum_{j=1..n} ((p + 1) j - n) f_j h_{n-j},
-
-run once over Q[p]; by induction each h_n is a polynomial in p of degree
-n. The recurrence is the x^(n-1) coefficient of S (S**p)' = p S' S**p,
-which characterises S**p among series with constant term 1; it needs
-only f_0 = 1, never divides by p, and holds for every rational p, so a
-negative p needs no series inversion, and evaluation at any integer p is
-the exact truncated power. The module keeps one table, entry n the pair
-(D, c) with h_n(p) = sum_i c_i p**i / D in lowest terms, so evaluation is
-integer Horner and one rational. s_power(p, order) and s_power_coeff read
-it; one_point(k) reads it at p = k + 1 - 2g for each genus g. The table
-starts with h_0 alone, so import does no work; it grows to the largest
-order asked for and is never trimmed (entries 0..n hold O(n^2) integers of
-O(n log n) bits: about 46 kB for one_point(80), which reads n <= 41), and
-it is rebound whole when it grows, so a reader never sees it half built.
-
 The packed-integer form that the cycle DP and the commutator recursion run
 on is in p1gw.packed, which loads with them, on first use.
 """
 
-from math import gcd, lcm
-
-from .rational import Rat, ZERO, ONE, factorial
+from .rational import Rat, ZERO, ONE
 
 
 class EpsLaurent:
@@ -194,58 +166,3 @@ class EpsLaurent:
 
 EPS_ZERO = EpsLaurent._raw({})
 EPS_ONE = EpsLaurent._raw({0: ONE})
-
-
-# _S_POWERS[n] = (D, c): [x^n] S**p = sum_i c[i] p**i / D, with x = eps**2;
-# grown by _s_power_table, never shrunk
-_S_POWERS = ((1, (1,)),)
-
-
-def _s_power_table(n_top: int) -> tuple:
-    """The [x^n] S**p table for n <= n_top at least, extended by Miller's
-    recurrence n h_n = sum_{j=1..n} ((p + 1) j - n) f_j h_{n-j} over Q[p]."""
-    global _S_POWERS
-    table = _S_POWERS
-    if len(table) > n_top:
-        return table
-    table = list(table)
-    # f_j = 1 / F[j - 1]
-    F = [4**j * factorial(2 * j + 1) for j in range(1, n_top + 1)]
-    for n in range(len(table), n_top + 1):
-        denom = 1
-        for j in range(1, n + 1):
-            denom = lcm(denom, n * F[j - 1] * table[n - j][0])
-        num = [0] * (n + 1)
-        for j in range(1, n + 1):
-            d, c = table[n - j]
-            s = denom // (n * F[j - 1] * d)
-            # times (p + 1) j - n = j p + (j - n)
-            for i, ci in enumerate(c):
-                num[i + 1] += s * j * ci
-                num[i] += s * (j - n) * ci
-        g = gcd(denom, *num)
-        table.append((denom // g, tuple(x // g for x in num)))
-    # rebound whole, so a reader never sees a half-built table
-    _S_POWERS = table = tuple(table)
-    return table
-
-
-def s_power_coeff(p: int, m: int):
-    """[eps^(2m)] S**p, for any integer p and m >= 0."""
-    d, c = _s_power_table(m)[m]
-    v = 0
-    for x in reversed(c):
-        v = v * p + x
-    return Rat(v, d)
-
-
-def s_power(p: int, order: int) -> EpsLaurent:
-    """S**p truncated to eps order `order` (inclusive), as an EpsLaurent.
-
-    S is even, so only even exponents appear; `order` must be even and >= 0.
-    Any integer p, negative included, is read off the shared coefficient
-    table (module docstring).
-    """
-    if order < 0 or order % 2:
-        raise ValueError(f"truncation order must be even and >= 0, got {order}")
-    return EpsLaurent({2 * m: s_power_coeff(p, m) for m in range(order // 2 + 1)})

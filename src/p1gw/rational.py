@@ -1,20 +1,16 @@
 """Exact rational arithmetic primitives.
 
-Uses gmpy2.mpq when available, falling back to fractions.Fraction. The
-engines' hot loops (the cycle DP, the recursion and the completed-cycle
-pass) run on exact ints, so the backend only changes the rational
-arithmetic around them. Both types share the operator surface we need;
-code elsewhere treats Rat as opaque.
+Rat is fractions.Fraction. The engines' hot loops (the cycle DP, the
+recursion and the completed-cycle pass) run on exact ints, so Rat only
+carries the rational arithmetic around them; code elsewhere treats it as
+opaque. The even Bernoulli numbers come from the tangent numbers, also on
+ints (bernoulli_even).
 """
 
 import math
 import re
+from fractions import Fraction as Rat
 from itertools import product
-
-try:
-    from gmpy2 import mpq as Rat  # type: ignore
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat  # type: ignore
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -48,6 +44,21 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
     return math.factorial(n)
+
+
+def bernoulli_even(n: int):
+    """B_2n for n >= 1, as (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the
+    tangent number T_n, computed by Brent and Harvey's in-place integer
+    loop ("Fast computation of Bernoulli, tangent and secant numbers")."""
+    if n < 1:
+        raise ValueError(f"bernoulli_even needs n >= 1, got {n}")
+    t = [0, 1] + [0] * (n - 1)  # t[j] ends as T_j
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return Rat((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1))
 
 
 def binomial(n: int, k: int) -> int:

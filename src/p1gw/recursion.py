@@ -192,8 +192,7 @@ from .packed import (
     graded_width,
     scaled_rows,
 )
-# default_extract_depth is named here too, beside the extraction it budgets
-from .correlators import check_pair_args, default_extract_depth, pair_depth  # noqa: F401
+from .correlators import check_pair_args, default_extract_depth, pair_depth
 from .errors import IndexOutOfRange, MalformedValue
 from .rational import factorial, splits
 from .resolvent import resolvent_bundle
@@ -454,11 +453,15 @@ def extract_bij(b: int, m: int, i: int, j: int, depth=None, eps_cap=None) -> Eps
     The contract is p1gw.correlators.extract_bij's, whose checks it runs:
     the generating identity only sums over i, j >= 1, and whether its
     shallow slots also carry tau_0 data is not something this engine will
-    guess. An eps_cap below default_extract_depth raises MalformedValue;
-    an odd b*m + i + j gives zero at any depth; otherwise a depth below
-    default_extract_depth raises DepthExceeded.
+    guess. It adds an eps cap, which the public call does not take: a cap
+    below default_extract_depth raises MalformedValue, after the argument
+    checks; an odd b*m + i + j gives zero at any depth; otherwise a depth
+    below default_extract_depth raises DepthExceeded.
     """
-    check_pair_args(b, m, i, j, eps_cap)
+    check_pair_args(b, m, i, j)
+    least = default_extract_depth(b, m, i, j)
+    if eps_cap is not None and eps_cap < least:
+        raise MalformedValue(f"eps_cap must be >= {least}, got {eps_cap}")
     return _pair((b,), (m,), i, j, depth, eps_cap)
 
 

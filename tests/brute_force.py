@@ -14,14 +14,22 @@ avoid, so they are slow and share no arithmetic with the routes they check:
   * windowed_extract: the recursion's pair extraction as a windowed
     bivariate product of the lifted levels with 1/(lam1 - lam2)^2.
   * s_power_squaring: S**p by series inversion (for p < 0) and repeated
-    squaring of truncated coefficient lists, where p1gw.eps reads S**p off
-    Miller's power recurrence.
+    squaring of truncated coefficient lists.
+  * s_power: S**p read off a table of polynomials in p, built by J.C.P.
+    Miller's power recurrence over Q[p] and grown on demand (_S_POWERS).
+    The recurrence is the x^(n-1) coefficient of S (S**p)' = p S' S**p,
+    which holds for every rational p, so a negative p needs no inversion.
+    It served one_point before the central factorial row did, and is kept
+    as that row's oracle.
+  * zeta_term_recurrence: (2^k - 1) zeta(-k) from the Bernoulli numbers by
+    their defining recurrence over rationals, where p1gw.completed reads
+    them off the tangent numbers.
 
 MultiSeries and inv_diff_expand are the multivariate ring they share.
 """
 
 from itertools import permutations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from p1gw.correlators import default_depth
 from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
@@ -490,3 +498,67 @@ def s_power_squaring(p: int, order: int) -> EpsLaurent:
         if p:
             sq = _conv_trunc(sq, sq, m_top)
     return EpsLaurent({2 * m: c for m, c in enumerate(result)})
+
+
+# _S_POWERS[n] = (D, c): [x^n] S**p = sum_i c[i] p**i / D, with x = eps**2;
+# grown by _s_power_table, never shrunk
+_S_POWERS = ((1, (1,)),)
+
+
+def _s_power_table(n_top: int) -> tuple:
+    """The [x^n] S**p table for n <= n_top at least, extended by Miller's
+    recurrence n h_n = sum_{j=1..n} ((p + 1) j - n) f_j h_{n-j} over Q[p]."""
+    global _S_POWERS
+    table = _S_POWERS
+    if len(table) > n_top:
+        return table
+    table = list(table)
+    # f_j = 1 / F[j - 1]
+    F = [4**j * factorial(2 * j + 1) for j in range(1, n_top + 1)]
+    for n in range(len(table), n_top + 1):
+        denom = 1
+        for j in range(1, n + 1):
+            denom = lcm(denom, n * F[j - 1] * table[n - j][0])
+        num = [0] * (n + 1)
+        for j in range(1, n + 1):
+            d, c = table[n - j]
+            s = denom // (n * F[j - 1] * d)
+            # times (p + 1) j - n = j p + (j - n)
+            for i, ci in enumerate(c):
+                num[i + 1] += s * j * ci
+                num[i] += s * (j - n) * ci
+        g = gcd(denom, *num)
+        table.append((denom // g, tuple(x // g for x in num)))
+    # rebound whole, so a reader never sees a half-built table
+    _S_POWERS = table = tuple(table)
+    return table
+
+
+def s_power_coeff(p: int, m: int):
+    """[eps^(2m)] S**p, for any integer p and m >= 0."""
+    d, c = _s_power_table(m)[m]
+    v = 0
+    for x in reversed(c):
+        v = v * p + x
+    return Rat(v, d)
+
+
+def s_power(p: int, order: int) -> EpsLaurent:
+    """S**p truncated to eps order `order` (inclusive), as an EpsLaurent.
+
+    S is even, so only even exponents appear; `order` must be even and >= 0.
+    Any integer p, negative included, is read off the shared coefficient
+    table (module docstring).
+    """
+    if order < 0 or order % 2:
+        raise ValueError(f"truncation order must be even and >= 0, got {order}")
+    return EpsLaurent({2 * m: s_power_coeff(p, m) for m in range(order // 2 + 1)})
+
+
+def zeta_term_recurrence(k: int):
+    """(num, den) with num / den = (2^k - 1) zeta(-k) in lowest terms."""
+    bern = [Rat(1)]  # B_0..B_{k+1} by sum_{j <= n} C(n + 1, j) B_j = 0
+    for n in range(1, k + 2):
+        bern.append(-sum(binomial(n + 1, j) * bern[j] for j in range(n)) / (n + 1))
+    c = (2**k - 1) * -bern[k + 1] / (k + 1)
+    return int(c.numerator), int(c.denominator)

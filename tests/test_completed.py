@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 
+from brute_force import zeta_term_recurrence
 from p1gw import cli, completed, correlators, oracles, recursion, reference
 from p1gw.completed import (
     CACHED_DEGREE,
@@ -35,6 +36,12 @@ def test_partition_sums_follow_the_branching_rule():
     assert _cached_shapes(2)[0] == ((2,), (1, 1)) and _cached_p(2, 2) == (8, -8)
     assert _sums((2,), (2,), 2)[2] == [2, 0, 128]
     assert _zeta_term(1) == (-1, 12) and _zeta_term(3) == (7, 120)
+
+
+def test_zeta_terms_equal_the_bernoulli_recurrence():
+    # tangent numbers against the defining recurrence of the Bernoulli numbers
+    for k in range(120):
+        assert _zeta_term(k) == zeta_term_recurrence(k), k
 
 
 def test_streamed_degrees_equal_the_cached_ones():

@@ -1,6 +1,7 @@
 """Correlator engines: one-point series and cycle sums."""
 
 import itertools
+import math
 import re
 from unittest import mock
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import n_point_product, s_power_squaring, two_point_product
-from p1gw import completed, correlators, cycle, eps, recursion, resolvent
+import brute_force
+from brute_force import n_point_product, s_power_coeff, s_power_squaring, two_point_product
+from p1gw import completed, correlators, cycle, recursion, resolvent
 from p1gw.correlators import (
     correlator,
     default_depth,
@@ -60,12 +62,48 @@ def test_one_point_matches_the_squaring_oracle():
             assert got == _one_point_squaring(k), k
 
 
+def _one_point_miller(k):
+    # the one-point formula over Miller's S-power table, which served
+    # one_point before the central factorial row
+    terms = {}
+    for g in range(k // 2 + 2):
+        d = (k + 2 - 2 * g) // 2
+        terms[2 * g - 2] = s_power_coeff(2 * d - 1, g) / factorial(d) ** 2
+    return EpsLaurent(terms)
+
+
 def test_one_point_from_a_fresh_table_equals_warm():
     ks = (0, 2, 14, 38)
     warm = [one_point(k) for k in ks]
-    with mock.patch.object(eps, "_S_POWERS", ((1, (1,)),)):
-        fresh = [one_point(k) for k in ks]
+    with mock.patch.object(brute_force, "_S_POWERS", ((1, (1,)),)):
+        fresh = [_one_point_miller(k) for k in ks]
     assert fresh == warm
+
+
+def test_one_point_matches_the_miller_table():
+    for k in range(0, 161, 2):
+        assert one_point(k) == _one_point_miller(k), k
+
+
+def _one_point_cell(g, d):
+    # <tau_k>_{g,d}, d >= 1 and k = 2g + 2d - 2, by the binomial theorem on
+    # (2 sinh(x/2))^(2d-1): sum_j (-1)^j C(2d-1, j) (d - 1/2 - j)^(k+1),
+    # over (k+1)! (d!)^2
+    k, p = 2 * g + 2 * d - 2, 2 * d - 1
+    total = sum((-1) ** j * math.comb(p, j) * (p - 2 * j) ** (k + 1) for j in range(p + 1))
+    return Rat(total, 2 ** (k + 1) * factorial(k + 1) * factorial(d) ** 2)
+
+
+def test_one_point_cells_match_the_alternating_sum():
+    for k in range(0, 61, 2):
+        value = one_point(k)
+        for g in range(k // 2 + 1):
+            assert value.coeff(2 * g - 2) == _one_point_cell(g, k // 2 + 1 - g), (k, g)
+    # large genus: every cell of degree <= 12 at k = 800
+    value = one_point(800)
+    for d in range(1, 13):
+        g = 401 - d
+        assert value.coeff(2 * g - 2) == _one_point_cell(g, d), d
 
 
 def test_one_point_odd_vanishes_and_validates():
@@ -425,7 +463,9 @@ def test_extract_bij_equals_the_recursion_on_both_sides_of_the_rule():
         budget = default_extract_depth(*case)
         want = recursion.extract_bij(*case)
         for depth, cap in ((budget, None), (budget + 3, budget), (None, budget + 2)):
-            assert extract_bij(*case, depth=depth, eps_cap=cap) == want, (case, depth, cap)
+            # the public call takes no cap; the recursion's keeps it
+            assert extract_bij(*case, depth=depth) == want, (case, depth)
+            assert recursion.extract_bij(*case, depth=depth, eps_cap=cap) == want, (case, depth, cap)
 
 
 _INVALID_PAIRS = [
@@ -435,12 +475,15 @@ _INVALID_PAIRS = [
     ((0, -1, 0, 0), {}),  # i, j are checked before b and m
     ((0, -1, 1, 1), {}),
     ((2, -1, 1, 1), {}),
-    ((1, 4, 1, 1), {"eps_cap": 3}),
-    ((1, 1, 1, 1), {"eps_cap": 5, "depth": 1}),  # the cap before the odd-sum shortcut
-    ((1, 2, 1, 1), {"eps_cap": -1}),
     ((2, 1, 2, 2), {"depth": 8}),  # the budget is 9
     ((2, 1, 2, 2), {"depth": -1}),
     ((6, 3, 8, 8), {"depth": 38}),  # past the rule; the budget is 39
+]
+# the eps cap is the recursion's own parameter, not p1gw.extract_bij's
+_INVALID_CAPS = [
+    ((1, 4, 1, 1), {"eps_cap": 3}),
+    ((1, 1, 1, 1), {"eps_cap": 5, "depth": 1}),  # the cap before the odd-sum shortcut
+    ((1, 2, 1, 1), {"eps_cap": -1}),
     ((6, 3, 8, 8), {"eps_cap": 38}),
 ]
 
@@ -456,6 +499,16 @@ def test_extract_bij_errors_match_the_recursion():
             with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$") as got:
                 extract_bij(*args, **kwargs)
             assert type(got.value) is type(want.value), (args, kwargs)
+    for args, kwargs in _INVALID_CAPS:
+        with pytest.raises(P1GWError) as want:
+            recursion.extract_bij(*args, **kwargs)
+        # the cap is checked before the recursion builds a level
+        with mock.patch.object(recursion, "_levels", side_effect=AssertionError):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$") as got:
+                recursion.extract_bij(*args, **kwargs)
+            assert type(got.value) is type(want.value), (args, kwargs)
+        with pytest.raises(TypeError):
+            extract_bij(*args, **kwargs)
     with mock.patch.object(recursion, "_levels", side_effect=AssertionError), mock.patch.object(
         completed, "pass_correlator", side_effect=AssertionError
     ):

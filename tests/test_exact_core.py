@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import s_power_squaring
-from p1gw import eps
-from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent, s_power
+import brute_force
+from brute_force import s_power, s_power_squaring
+from p1gw.eps import EPS_ONE, EPS_ZERO, EpsLaurent
 from p1gw.errors import MalformedValue
 from p1gw.packed import (
     graded_from_packed,
@@ -20,6 +20,7 @@ from p1gw.packed import (
 )
 from p1gw.rational import (
     Rat,
+    bernoulli_even,
     binomial,
     factorial,
     rat_from_str,
@@ -53,6 +54,13 @@ def test_binomial_outside_range_is_zero():
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+def test_bernoulli_even_from_tangent_numbers():
+    want = [Rat(1, 6), Rat(-1, 30), Rat(1, 42), Rat(-1, 30), Rat(5, 66), Rat(-691, 2730)]
+    assert [bernoulli_even(n) for n in range(1, 7)] == want
+    with pytest.raises(ValueError):
+        bernoulli_even(0)
 
 
 @pytest.mark.parametrize(
@@ -135,12 +143,12 @@ def test_s_power_matches_repeated_squaring():
 
 def test_s_power_table_fresh_equals_warm():
     warm = [s_power(p, 16) for p in (-7, -1, 0, 3, 11)]
-    with mock.patch.object(eps, "_S_POWERS", ((1, (1,)),)):
+    with mock.patch.object(brute_force, "_S_POWERS", ((1, (1,)),)):
         fresh = [s_power(p, 16) for p in (-7, -1, 0, 3, 11)]
         # the table grows only to the order asked for
-        assert len(eps._S_POWERS) == 9
+        assert len(brute_force._S_POWERS) == 9
         assert s_power(5, 4) == s_power_squaring(5, 4)
-        assert len(eps._S_POWERS) == 9
+        assert len(brute_force._S_POWERS) == 9
     assert fresh == warm
     with pytest.raises(ValueError):
         s_power(2, 3)
